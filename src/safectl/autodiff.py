@@ -42,10 +42,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(GELU_C * x * (1.0 + GELU_A * x2)))
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return gelu_value_grad(x)[1]
-
-
 @dataclass
 class Node:
     """One recorded value. parents holds (parent, vjp) pairs where vjp maps

@@ -8,9 +8,12 @@ Three families:
 - TaskSpaceBarrier: positive within distance `radius` of the nearest
   demonstration state, so the learned dynamics are only trusted in-distribution.
 
-Evaluation is pure; all barrier objects are immutable after construction and
-safe to share across workers. Hard (non-smoothed) values are exposed
-separately so smoothing slack can never hide a violation check.
+Each barrier evaluates a batch of points at once through
+`value_and_grad_batch(X)`, X of shape (B, n), returning b (B,) and the
+gradients (B, n); the single-point `value_and_grad` and `value` are its B = 1
+case. Evaluation is pure; all barrier objects are immutable after
+construction and safe to share across workers. Hard (non-smoothed) values are
+exposed separately so smoothing slack can never hide a violation check.
 """
 
 from __future__ import annotations
@@ -21,6 +24,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 AXIS_EPS = 1e-9
+_TIE_TOL = 1e-12  # relative distance tolerance under which nearest neighbours tie
+
+
+def _single(barrier, x):
+    """(b, grad) at one point as the B = 1 case of the barrier's batch method."""
+    b, grad = barrier.value_and_grad_batch(np.asarray(x, dtype=np.float64)[None, :])
+    return float(b[0]), grad[0]
 
 
 class SphereZone:
@@ -37,12 +47,14 @@ class SphereZone:
         return self.center.shape[0]
 
     def value(self, x) -> float:
-        d = np.asarray(x, dtype=np.float64) - self.center
-        return float(d @ d - self.radius**2)
+        return _single(self, x)[0]
 
     def value_and_grad(self, x):
-        d = np.asarray(x, dtype=np.float64) - self.center
-        return float(d @ d - self.radius**2), 2.0 * d
+        return _single(self, x)
+
+    def value_and_grad_batch(self, X):
+        d = np.asarray(X, dtype=np.float64) - self.center
+        return np.einsum("ij,ij->i", d, d) - self.radius**2, 2.0 * d
 
     def hard_value(self, x) -> float:
         return self.value(x)
@@ -79,16 +91,17 @@ class CylinderZone:
     def dim(self) -> int:
         return self.point.shape[0]
 
-    def _off_axis(self, rel: np.ndarray) -> np.ndarray:
-        """rel, nudged radially off the axis (with a warning) when it lies on
-        it, because the radial gradient is undefined there."""
-        w = np.cross(rel, self.axis)
-        if np.linalg.norm(w) < AXIS_EPS:
-            warnings.warn("point on cylinder axis; perturbing radially by 1e-9")
-            seed = np.zeros(3)
-            seed[int(np.argmin(np.abs(self.axis)))] = 1.0
-            radial = seed - (seed @ self.axis) * self.axis
-            rel = rel + AXIS_EPS * radial / np.linalg.norm(radial)
+    def _off_axis(self, rel: np.ndarray, on_axis: np.ndarray) -> np.ndarray:
+        """rel (B, 3) with the rows flagged on_axis nudged radially off the
+        axis (with a warning), because the radial gradient is undefined there."""
+        warnings.warn(
+            f"{int(on_axis.sum())} point(s) on cylinder axis; perturbing radially by 1e-9"
+        )
+        seed = np.zeros(3)
+        seed[int(np.argmin(np.abs(self.axis)))] = 1.0
+        radial = seed - (seed @ self.axis) * self.axis
+        rel = rel.copy()
+        rel[on_axis] += AXIS_EPS * radial / np.linalg.norm(radial)
         return rel
 
     def components(self, x):
@@ -103,28 +116,34 @@ class CylinderZone:
         return max(b_rad, b_vert)
 
     def value(self, x) -> float:
-        return self.value_and_grad(x)[0]
+        return _single(self, x)[0]
 
     def value_and_grad(self, x):
-        rel = np.asarray(x, dtype=np.float64) - self.point
-        rel = self._off_axis(rel)
+        return _single(self, x)
+
+    def value_and_grad_batch(self, X):
         v = self.axis
+        rel = np.asarray(X, dtype=np.float64) - self.point
         w = np.cross(rel, v)
-        wn = np.linalg.norm(w)
+        on_axis = np.linalg.norm(w, axis=1) < AXIS_EPS
+        if on_axis.any():
+            rel = self._off_axis(rel, on_axis)
+            w = np.cross(rel, v)
+        wn = np.linalg.norm(w, axis=1)
         b_rad = wn - self.radius
-        grad_rad = np.cross(v, w) / wn
+        grad_rad = np.cross(v, w) / wn[:, None]
         ax = rel @ v
-        b_vert = abs(ax) - 0.5 * self.length
-        grad_vert = np.sign(ax) * v if ax != 0.0 else 0.0 * v
+        b_vert = np.abs(ax) - 0.5 * self.length
+        grad_vert = np.sign(ax)[:, None] * v  # sign(0) = 0: no vertical gradient on the mid-plane
         # shifted log-sum-exp of the two components, stabilised around the max
         tau = self.tau
-        top = max(b_rad, b_vert)
+        top = np.maximum(b_rad, b_vert)
         e_rad = np.exp(tau * (b_rad - top))
         e_vert = np.exp(tau * (b_vert - top))
         denom = e_rad + e_vert
         b = top + np.log(denom) / tau - np.log(2.0) / tau
-        grad = (e_rad * grad_rad + e_vert * grad_vert) / denom
-        return float(b), grad
+        grad = (e_rad[:, None] * grad_rad + e_vert[:, None] * grad_vert) / denom[:, None]
+        return b, grad
 
 
 class TaskSpaceBarrier:
@@ -154,18 +173,35 @@ class TaskSpaceBarrier:
         """Index of the nearest stored state, lowest index on exact ties."""
         s = np.asarray(s, dtype=np.float64)
         dmin, idx = self._tree.query(s)
-        ball = self._tree.query_ball_point(s, dmin + 1e-12 * (1.0 + dmin))
+        ball = self._tree.query_ball_point(s, dmin + _TIE_TOL * (1.0 + dmin))
         if not ball:
             return int(idx)
         cand = np.sort(np.asarray(ball, dtype=int))
         d2 = np.sum((self.states[cand] - s) ** 2, axis=1)
         return int(cand[np.argmin(d2)])
 
+    def nearest_batch(self, S) -> np.ndarray:
+        """nearest() for every row of S (B, n) with one two-neighbour query.
+
+        A row whose second neighbour lies within twice the tie tolerance of
+        the first goes through nearest() itself, so the lowest-index rule is
+        kept exactly; the factor of two covers the rounding by which the
+        ball query's squared-radius test can differ from query()'s distances.
+        """
+        dist, idx = self._tree.query(S, k=2)
+        idx = idx[:, 0]
+        for i in np.flatnonzero(dist[:, 1] <= dist[:, 0] + 2.0 * _TIE_TOL * (1.0 + dist[:, 0])):
+            idx[i] = self.nearest(S[i])
+        return idx
+
     def value(self, s) -> float:
-        return self.eval(s)[0]
+        return _single(self, s)[0]
 
     def value_and_grad(self, s):
-        b, grad, _ = self.eval(s)
+        return _single(self, s)
+
+    def value_and_grad_batch(self, S):
+        b, grad, _ = self.eval_batch(S)
         return b, grad
 
     def hard_value(self, s) -> float:
@@ -173,13 +209,17 @@ class TaskSpaceBarrier:
 
     def eval(self, s):
         """Returns (b, grad, s_nearest)."""
-        s = np.asarray(s, dtype=np.float64)
-        if s.shape[0] != self.dim:
-            raise ValueError(f"state dim {s.shape[0]} != barrier dim {self.dim}")
-        idx = self.nearest(s)
-        s_min = self.states[idx]
-        d = s - s_min
-        return float(self.radius**2 - d @ d), -2.0 * d, s_min
+        b, grad, idx = self.eval_batch(np.asarray(s, dtype=np.float64)[None, :])
+        return float(b[0]), grad[0], self.states[idx[0]]
+
+    def eval_batch(self, S):
+        """Returns (b (B,), grad (B, n), nearest index (B,)) for S (B, n)."""
+        S = np.asarray(S, dtype=np.float64)
+        if S.shape[1] != self.dim:
+            raise ValueError(f"state dim {S.shape[1]} != barrier dim {self.dim}")
+        idx = self.nearest_batch(S)
+        d = S - self.states[idx]
+        return self.radius**2 - np.einsum("ij,ij->i", d, d), -2.0 * d, idx
 
 
 def zone_from_config(cfg: dict):

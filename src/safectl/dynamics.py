@@ -68,6 +68,17 @@ class NeuralOdeModel:
         g = out[self.n_state :].reshape(self.n_state, self.n_action)
         return f, g
 
+    def drift_and_gain_batch(self, S):
+        """drift_and_gain for every row of S (B, n_state) in one MLP call:
+        f (B, n_state) and G (B, n_state, n_action)."""
+        S = np.asarray(S, dtype=np.float64)
+        if S.ndim != 2 or S.shape[1] != self.n_state:
+            raise ValueError(f"states shape {S.shape} != (B, {self.n_state})")
+        out = forward_mlp(self.params, S.T).T
+        f = out[:, : self.n_state]
+        g = out[:, self.n_state :].reshape(-1, self.n_state, self.n_action)
+        return f, g
+
     def field(self, s, a):
         """sdot = f(s) + G(s) @ a."""
         a = np.asarray(a, dtype=np.float64)
@@ -129,6 +140,10 @@ class AffineModel:
     def drift_and_gain(self, s):
         s = np.asarray(s, dtype=np.float64)
         return self.A @ s + self.c, self.B
+
+    def drift_and_gain_batch(self, S):
+        S = np.asarray(S, dtype=np.float64)
+        return S @ self.A.T + self.c, np.broadcast_to(self.B, (S.shape[0],) + self.B.shape)
 
     def field(self, s, a):
         f, g = self.drift_and_gain(s)

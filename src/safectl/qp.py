@@ -9,7 +9,10 @@ hundred rows; factorizations are recomputed densely per iteration.
 
 Determinism: ties (equal violations, equal blocking ratios) resolve to the
 lowest row index. Duplicate (row, rhs) pairs are dropped within 1e-12 before
-solving; reported active-set indices refer to the caller's original rows.
+solving, keeping the first of each; reported active-set indices refer to the
+caller's original rows. The dedupe is one array pass: O(k^2) rhs comparisons
+and memory for k rows, then O(m) row comparisons for each pair whose rhs
+match; only rows with an earlier near-duplicate are settled in a Python loop.
 """
 
 from __future__ import annotations
@@ -90,18 +93,23 @@ class QpSolution:
 
 
 def _dedupe(G: np.ndarray, h: np.ndarray, origin: np.ndarray):
-    """Drop duplicate (row, rhs) pairs within 1e-12, keeping first occurrence."""
-    keep: list[int] = []
-    for i in range(G.shape[0]):
-        dup = False
-        for j in keep:
-            if abs(h[i] - h[j]) <= 1e-12 and np.all(np.abs(G[i] - G[j]) <= 1e-12):
-                dup = True
-                break
-        if not dup:
-            keep.append(i)
-    keep_arr = np.asarray(keep, dtype=int)
-    return G[keep_arr], h[keep_arr], origin[keep_arr]
+    """Drop duplicate (row, rhs) pairs within 1e-12, keeping first occurrence.
+
+    Row i is dropped iff it lies within the tolerance of an earlier row that
+    is itself kept. The tolerance is not transitive (a ~ b and b ~ c without
+    a ~ c keeps a and c), so rows with an earlier near-duplicate are settled
+    in order; all others are kept outright.
+    """
+    # close[i, j], j < i: rows i and j match within the tolerance. The rhs is
+    # compared over all pairs, the row entries only over pairs whose rhs match.
+    close = np.abs(h[:, None] - h[None, :]) <= 1e-12
+    close &= np.tri(h.shape[0], k=-1, dtype=bool)
+    i, j = np.nonzero(close)
+    close[i, j] = np.all(np.abs(G[i] - G[j]) <= 1e-12, axis=1)
+    keep = ~close.any(axis=1)
+    for r in np.flatnonzero(~keep):
+        keep[r] = not close[r, keep].any()
+    return G[keep], h[keep], origin[keep]
 
 
 def solve(problem: QpProblem, max_iter: int = 500) -> QpSolution:
@@ -229,7 +237,8 @@ def solve_with_slack(problem: QpProblem, penalty: float = 1e6) -> QpSolution:
     Otherwise each explicit row g_i'a <= h_i is softened to g_i'a - xi <= h_i
     with one shared xi >= 0 and the objective gains penalty*xi^2. Box bounds
     stay hard (actuator limits), which keeps the relaxation feasible whenever
-    the box is nonempty; slack_used reports xi*.
+    the box is nonempty; slack_used reports xi*, and is nan when the
+    relaxation itself does not solve (its status is then not "optimal").
     """
     if penalty <= 0:
         raise ValueError("penalty must be positive")
@@ -250,13 +259,13 @@ def solve_with_slack(problem: QpProblem, penalty: float = 1e6) -> QpSolution:
     inner = QpProblem(P=P2, q=q2, G=G2, h=h2, lb=lb2, ub=ub2)
     sol = solve(inner)
     a = sol.a[:m]
-    xi = float(sol.a[m]) if sol.status == "optimal" else float("nan")
+    xi = max(0.0, float(sol.a[m])) if sol.status == "optimal" else float("nan")
     return QpSolution(
         a=a,
         objective=0.5 * float(a @ problem.P @ a) + float(problem.q @ a),
         active_set=sol.active_set,
         status=sol.status,
-        slack_used=max(0.0, xi),
+        slack_used=xi,
         multipliers=sol.multipliers,
         kkt_residual=sol.kkt_residual,
     )

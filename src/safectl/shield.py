@@ -12,17 +12,25 @@ box [s - e_s, s + e_s]; the condition is enforced at every box vertex plus
 the center (budget-capped with deterministic bit-reversal subsampling), which
 under-approximates the min over the box on the sampled set.
 
+Rows are built batched: per constraint, all box points go through one barrier
+`value_and_grad_batch` call (one kd-tree query for the task-space barrier) and
+one `drift_and_gain_batch` call (one MLP forward over the whole box), and the
+Lie derivatives and robust margins are formed with array operations. The
+center is the first box point, so the per-constraint margins the filter
+reports are the barrier values already computed for the center rows.
+
 The filter stacks spatial rows (position-substate model, acting on the
 linear-velocity action block) and the behavioral row (full-state model),
 then solves min ||a - a_des||^2 over the action box. Infeasibility falls
-back to a shared-slack relaxation; nonzero slack is reported as a
-near-violation instead of crashing the episode.
+back to a shared-slack relaxation; nonzero slack, or a relaxation that does
+not solve, is reported as infeasible instead of crashing the episode.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,22 +82,41 @@ class FilterReport:
     infeasible: bool = False
 
 
+def _rows_at(barrier, model: NeuralOdeModel, Y, bounds: UncertaintyBounds,
+             gamma: float, robust: bool, per_dim: bool):
+    """CBF rows at every evaluation point of Y (B, n): G (B, n_action) and
+    h (B,) as in build_constraint, plus the barrier values b (B,)."""
+    b, grad = barrier.value_and_grad_batch(Y)
+    f, g = model.drift_and_gain_batch(Y)
+    lf = np.einsum("bi,bi->b", grad, f)
+    lg = np.einsum("bi,bij->bj", grad, g)
+    if not robust:
+        margin = 0.0
+    elif per_dim and bounds.per_dim_sdot.size:
+        margin = np.abs(grad) @ bounds.per_dim_sdot
+    else:
+        margin = np.abs(grad).max(axis=1) * bounds.e_sdot
+    return -lg, lf - margin + gamma * b, b
+
+
 def build_constraint(barrier, model: NeuralOdeModel, y, bounds: UncertaintyBounds,
                      gamma: float, robust: bool = True, per_dim: bool = False):
     """One QP row (G, h) for the CBF condition at evaluation point y:
     G = -L_g b(y), h = L_f b(y) - robust_term + gamma * b(y)."""
-    b, grad = barrier.value_and_grad(y)
-    f, g = model.drift_and_gain(y)
-    lf = float(grad @ f)
-    lg = grad @ g
-    if robust:
-        if per_dim and bounds.per_dim_sdot.size:
-            margin = float(np.abs(grad) @ bounds.per_dim_sdot)
-        else:
-            margin = float(np.abs(grad).max() * bounds.e_sdot)
-    else:
-        margin = 0.0
-    return -lg, lf - margin + gamma * b
+    G, h, _ = _rows_at(barrier, model, np.asarray(y, dtype=np.float64)[None, :], bounds,
+                       gamma, robust, per_dim)
+    return G[0], float(h[0])
+
+
+@lru_cache(maxsize=64)
+def _corner_signs(n: int, budget: int) -> np.ndarray:
+    """+-1 sign rows of the first min(2^n, budget) cube corners, bit-reversed
+    enumeration: row i has sign + on axis j iff bit n-1-j of i is set.
+    Read-only, because every caller shares the cached array."""
+    i = np.arange(min(1 << n, budget))
+    signs = ((i[:, None] >> (n - 1 - np.arange(n))) & 1) * 2.0 - 1.0
+    signs.flags.writeable = False
+    return signs
 
 
 def box_vertices(center: np.ndarray, half_width: float, budget: int) -> np.ndarray:
@@ -99,15 +126,12 @@ def box_vertices(center: np.ndarray, half_width: float, budget: int) -> np.ndarr
     bit-reversed index, which spreads the kept corners across the cube.
     Returns an array with the center as the first row.
     """
-    n = center.shape[0]
     if half_width == 0.0:
         return center[None, :]
-    total = 1 << n
     # bit-reversed enumeration throughout, so a smaller budget always yields a
     # prefix of a larger one (monotone feasible sets) and subsampling spreads
     # the kept corners across the cube
-    masks = np.array([int(format(i, f"0{n}b")[::-1], 2) for i in range(min(total, budget))])
-    signs = ((masks[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+    signs = _corner_signs(center.shape[0], budget)
     return np.vstack([center[None, :], center[None, :] + half_width * signs])
 
 
@@ -118,17 +142,12 @@ def robustify_over_state_box(barrier, model: NeuralOdeModel, s, bounds: Uncertai
 
     Enforcing all rows intersects the per-point half-spaces, so adding
     vertices never enlarges the feasible action set. e_s = 0 degenerates to
-    the single row at s.
+    the single row at s. Returns (rows, rhs, b) with b the barrier value at
+    each box point; row 0 and b[0] belong to the center s itself.
     """
     e_s = bounds.e_s if robust else 0.0
     pts = box_vertices(np.asarray(s, dtype=np.float64), e_s, vertex_budget)
-    rows = np.empty((pts.shape[0], model.n_action))
-    rhs = np.empty(pts.shape[0])
-    for i, y in enumerate(pts):
-        rows[i], rhs[i] = build_constraint(
-            barrier, model, y, bounds, gamma, robust=robust, per_dim=per_dim
-        )
-    return rows, rhs
+    return _rows_at(barrier, model, pts, bounds, gamma, robust, per_dim)
 
 
 class SafetyShield:
@@ -156,19 +175,25 @@ class SafetyShield:
         """Stacked (G, h) rows over all constraints and box vertices, in the
         full action dimension (spatial rows zero-padded outside the
         linear-velocity block)."""
+        G, h, _ = self.rows_and_margins(s)
+        return G, h
+
+    def rows_and_margins(self, s):
+        """constraint_rows plus the per-constraint barrier value at s, read
+        from each constraint's center row instead of evaluating again."""
         cfg = self.config
         s = np.asarray(s, dtype=np.float64)
         n_action = self.models["full"].n_action if "full" in self.models else (
             max(cfg.lin_action_dims) + 1
         )
-        all_rows, all_rhs = [], []
+        all_rows, all_rhs, margins = [], [], []
         for spec in cfg.constraints:
             model = self.models[spec.binding]
             bnd = self.bounds[spec.binding]
             gamma = cfg.gamma
             if spec.binding == "full" and cfg.gamma_behavioral is not None:
                 gamma = cfg.gamma_behavioral
-            rows, rhs = robustify_over_state_box(
+            rows, rhs, b = robustify_over_state_box(
                 spec.barrier, model, self._state_for(spec, s), bnd, gamma,
                 robust=cfg.robust, per_dim=cfg.per_dim, vertex_budget=cfg.vertex_budget,
             )
@@ -178,7 +203,8 @@ class SafetyShield:
                 rows = padded
             all_rows.append(rows)
             all_rhs.append(rhs)
-        return np.vstack(all_rows), np.concatenate(all_rhs)
+            margins.append(b[0])
+        return np.vstack(all_rows), np.concatenate(all_rhs), np.array(margins)
 
     def margins(self, s) -> np.ndarray:
         """Per-constraint barrier value at the current state."""
@@ -195,7 +221,7 @@ class SafetyShield:
         s = np.asarray(s, dtype=np.float64)
         if not np.all(np.isfinite(s)) or not np.all(np.isfinite(a_des)):
             raise ValueError("non-finite state or action entering the filter")
-        G, h = self.constraint_rows(s)
+        G, h, margins = self.rows_and_margins(s)
         problem = qp.QpProblem(
             P=np.eye(a_des.shape[0]),
             q=-a_des,
@@ -205,7 +231,6 @@ class SafetyShield:
             ub=self.config.ub,
         )
         sol = qp.solve_with_slack(problem, penalty=self.config.slack_penalty)
-        margins = self.margins(s)
         return FilterReport(
             a_safe=sol.a,
             intervened=bool(np.linalg.norm(sol.a - a_des) > 1e-9),
@@ -213,7 +238,7 @@ class SafetyShield:
             worst_margin=float(margins.min()),
             slack_used=sol.slack_used,
             solve_time=time.perf_counter() - t0,
-            infeasible=sol.slack_used > 1e-6,
+            infeasible=sol.status != "optimal" or sol.slack_used > 1e-6,
         )
 
 

@@ -124,12 +124,6 @@ class KinematicEnv:
                 self.latched = True
         return self.observe()
 
-    def object_position(self) -> np.ndarray | None:
-        """Transport object rides the end effector once latched."""
-        if self.cfg.obj is None:
-            return None
-        return self.state[:3].copy() if self.latched else self.cfg.obj.copy()
-
 
 # -- policies --------------------------------------------------------------------
 

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier, zone_from_config
 
@@ -170,3 +175,126 @@ def test_zone_from_config():
     assert cyl.tau == 100.0
     with pytest.raises(ValueError, match="unknown zone type"):
         zone_from_config({"type": "torus"})
+
+
+# -- batched evaluation against per-point references ---------------------------------
+#
+# The references below are the per-point implementations the batched methods
+# replaced; batched rows must match them within 1e-12.
+
+def sphere_reference(zone, x):
+    d = np.asarray(x, dtype=np.float64) - zone.center
+    return float(d @ d - zone.radius**2), 2.0 * d
+
+
+def cylinder_reference(zone, x):
+    rel = np.asarray(x, dtype=np.float64) - zone.point
+    v = zone.axis
+    if np.linalg.norm(np.cross(rel, v)) < 1e-9:
+        seed = np.zeros(3)
+        seed[int(np.argmin(np.abs(v)))] = 1.0
+        radial = seed - (seed @ v) * v
+        rel = rel + 1e-9 * radial / np.linalg.norm(radial)
+    w = np.cross(rel, v)
+    wn = np.linalg.norm(w)
+    b_rad = wn - zone.radius
+    grad_rad = np.cross(v, w) / wn
+    ax = rel @ v
+    b_vert = abs(ax) - 0.5 * zone.length
+    grad_vert = np.sign(ax) * v if ax != 0.0 else 0.0 * v
+    top = max(b_rad, b_vert)
+    e_rad = np.exp(zone.tau * (b_rad - top))
+    e_vert = np.exp(zone.tau * (b_vert - top))
+    denom = e_rad + e_vert
+    b = top + np.log(denom) / zone.tau - np.log(2.0) / zone.tau
+    return float(b), (e_rad * grad_rad + e_vert * grad_vert) / denom
+
+
+def task_space_reference(barrier, s):
+    idx = barrier.nearest(s)
+    d = np.asarray(s, dtype=np.float64) - barrier.states[idx]
+    return float(barrier.radius**2 - d @ d), -2.0 * d, idx
+
+
+def assert_batch_matches(barrier, reference, X):
+    b, grad = barrier.value_and_grad_batch(X)
+    assert b.shape == (X.shape[0],) and grad.shape == X.shape
+    for i, x in enumerate(X):
+        b_ref, g_ref = reference(barrier, x)[:2]
+        assert abs(b[i] - b_ref) <= 1e-12
+        assert np.max(np.abs(grad[i] - g_ref), initial=0.0) <= 1e-12
+        b1, g1 = barrier.value_and_grad(x)  # the B = 1 case
+        assert abs(b1 - b_ref) <= 1e-12 and np.max(np.abs(g1 - g_ref)) <= 1e-12
+
+
+points3 = arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
+                 elements=st.floats(-3.0, 3.0))
+
+
+class TestBatchedEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(points3)
+    def test_sphere(self, X):
+        assert_batch_matches(SphereZone([0.2, 0.1, -0.3], 0.7), sphere_reference, X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points3, st.sampled_from([[0, 0, 1], [1, 2, -0.5], [0.3, -1, 0]]))
+    def test_cylinder(self, X, axis):
+        zone = CylinderZone([0.1, -0.2, 0.0], axis, radius=0.4, length=1.2, tau=50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a drawn point may sit on the axis
+            assert_batch_matches(zone, cylinder_reference, X)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=10),
+           st.lists(st.floats(-0.7, 0.7), min_size=1, max_size=10))
+    def test_cylinder_on_axis_points_warn_and_match(self, ts, offsets):
+        # on-axis rows mixed with off-axis ones, including the mid-plane ax = 0
+        zone = CylinderZone([0.1, -0.2, 0.3], [1, 2, -0.5], radius=0.4, length=1.2)
+        on = zone.point + np.outer(ts + [0.0], zone.axis)
+        off = on[np.arange(len(offsets)) % len(on)] + np.outer(offsets, [0.3, 0.0, 0.6])
+        X = np.vstack([on, off])
+        with pytest.warns(UserWarning, match="axis"):
+            b, grad = zone.value_and_grad_batch(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for i, x in enumerate(X):
+                b_ref, g_ref = cylinder_reference(zone, x)
+                assert abs(b[i] - b_ref) <= 1e-12
+                assert np.max(np.abs(grad[i] - g_ref)) <= 1e-12
+        assert np.all(np.isfinite(grad))
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(4)),
+                  elements=st.floats(-1.5, 1.5)),
+           st.integers(0, 2**32 - 1))
+    def test_task_space(self, X, seed):
+        rng = np.random.default_rng(seed)
+        states = rng.uniform(-1, 1, size=(200, 4))
+        states[100:110] = states[:10]  # exact duplicate demo states
+        barrier = TaskSpaceBarrier(states, radius=0.5)
+        X = np.vstack([X, states[100:105]])  # queries sitting on duplicates
+        b, grad, idx = barrier.eval_batch(X)
+        for i, x in enumerate(X):
+            b_ref, g_ref, i_ref = task_space_reference(barrier, x)
+            assert idx[i] == i_ref
+            assert abs(b[i] - b_ref) <= 1e-12 and np.max(np.abs(grad[i] - g_ref)) <= 1e-12
+        assert np.all(idx[-5:] == np.arange(5))  # the duplicate's lower index wins
+        assert_batch_matches(barrier, task_space_reference, X)
+
+    def test_task_space_equidistant_ties_take_lowest_index(self):
+        # each query is equidistant from a symmetric pair (and, at the origin,
+        # from all four states); the lowest index must win in every row
+        states = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
+        barrier = TaskSpaceBarrier(states, radius=0.5)
+        X = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5],
+                      [0.0, 0.3], [0.3, 0.0], [0.9, 0.0]])
+        idx = barrier.nearest_batch(X)
+        assert idx.tolist() == [barrier.nearest(x) for x in X]
+        assert idx.tolist() == [0, 0, 1, 1, 0, 2, 0, 0]
+
+    def test_task_space_single_demo_state(self):
+        barrier = TaskSpaceBarrier(np.zeros((1, 3)), radius=0.5)
+        b, grad = barrier.value_and_grad_batch(np.array([[0.5, 0.0, 0.0], [0.0, 0.1, 0.0]]))
+        assert b == pytest.approx([0.0, 0.24], abs=1e-12)
+        assert np.allclose(grad, [[-1.0, 0.0, 0.0], [0.0, -0.2, 0.0]])

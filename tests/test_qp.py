@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safectl import qp
 
@@ -186,3 +188,78 @@ def test_dump_problem_is_json_ready():
                            lb=-np.ones(2), ub=np.ones(2))
     payload = qp.dump_problem(problem)
     assert json.loads(json.dumps(payload))["h"] == [1.0]
+
+
+def greedy_dedupe_reference(G, h, origin):
+    """The row-by-row dedupe the array pass replaced: row i is dropped when it
+    matches an already kept row within 1e-12, first occurrence kept."""
+    keep = []
+    for i in range(G.shape[0]):
+        dup = False
+        for j in keep:
+            if abs(h[i] - h[j]) <= 1e-12 and np.all(np.abs(G[i] - G[j]) <= 1e-12):
+                dup = True
+                break
+        if not dup:
+            keep.append(i)
+    keep = np.asarray(keep, dtype=int)
+    return G[keep], h[keep], origin[keep]
+
+
+def assert_same_dedupe(G, h):
+    origin = np.arange(G.shape[0])
+    got = qp._dedupe(G, h, origin)
+    want = greedy_dedupe_reference(G, h, origin)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_dedupe_matches_greedy_reference(k, m, seed):
+    # random rows with planted exact copies and copies shifted by 0.9e-12
+    # (dropped) and 1.1e-12 (kept) in one entry or the rhs
+    rng = np.random.default_rng(seed)
+    G = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(k, m))  # coarse values repeat by chance
+    h = rng.choice([0.0, 0.05, 1.0], size=k)
+    rows, rhs = [G], [h]
+    for _ in range(rng.integers(0, 6) if k else 0):
+        i = int(rng.integers(0, k))
+        g, b = G[i].copy(), float(h[i])
+        shift = float(rng.choice([0.0, 0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12]))
+        if rng.random() < 0.5:
+            g[int(rng.integers(0, m))] += shift
+        else:
+            b += shift
+        rows.append(g[None, :])
+        rhs.append([b])
+    order = rng.permutation(sum(r.shape[0] for r in rows))
+    assert_same_dedupe(np.vstack(rows)[order], np.concatenate(rhs)[order])
+
+
+def test_dedupe_tolerance_boundary():
+    G = np.array([[1.0, 0.0], [1.0 + 0.9e-12, 0.0], [1.0 + 1.1e-12, 0.0]])
+    h = np.array([0.5, 0.5, 0.5])
+    _, _, origin = qp._dedupe(G, h, np.arange(3))
+    assert origin.tolist() == [0, 2]
+    assert_same_dedupe(G, h)
+
+
+def test_dedupe_nontransitive_chain_keeps_both_ends():
+    # a ~ b and b ~ c but not a ~ c: b goes with a, c stays
+    G = np.array([[0.0, 1.0], [0.0, 1.0 + 0.9e-12], [0.0, 1.0 + 1.8e-12], [0.0, 1.0]])
+    h = np.zeros(4)
+    _, _, origin = qp._dedupe(G, h, np.arange(4))
+    assert origin.tolist() == [0, 2]
+    assert_same_dedupe(G, h)
+
+
+def test_active_set_refers_to_callers_rows_after_dedupe():
+    # rows 0-2 are copies of one loose row; rows 3 and 5 copies of the binding
+    # row, row 4 a near-copy within tolerance: only row 3 can be reported
+    G = [[1.0, 0.0], [1.0, 0.0], [1.0, 1e-13], [0.0, 1.0], [0.0, 1.0 + 5e-13], [0.0, 1.0]]
+    h = [5.0, 5.0, 5.0, -1.0, -1.0, -1.0]
+    sol = qp.solve(qp.QpProblem(P=np.eye(2), q=np.zeros(2), G=G, h=h))
+    assert sol.status == "optimal"
+    assert np.allclose(sol.a, [0.0, -1.0], atol=1e-12)
+    assert sol.active_set == [3]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from safectl.barriers import SphereZone, TaskSpaceBarrier
+from conftest import zone_on_path
+from safectl import qp
+from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier
 from safectl.dynamics import AffineModel, UncertaintyBounds
 from safectl.shield import (
     ConstraintSpec,
@@ -77,12 +79,100 @@ class TestBuildConstraint:
             assert h >= 0.0
 
 
+def corner_reference(center, half_width, budget):
+    """Box points as enumerated corner by corner: center, then corner i with
+    axis j positive iff bit j of the n-bit reversal of i is set."""
+    n = center.shape[0]
+    pts = [center]
+    for i in range(min(1 << n, budget)):
+        mask = int(format(i, f"0{n}b")[::-1], 2)
+        pts.append(center + half_width * np.array([((mask >> j) & 1) * 2.0 - 1.0
+                                                   for j in range(n)]))
+    return np.array(pts)
+
+
+def per_point_rows(shield, s):
+    """(G, h, margins) from one barrier and one model evaluation per box point,
+    the loop the batched rows replaced. Barriers enter through their
+    single-point value_and_grad, which test_barriers checks against the
+    per-point formulas."""
+    cfg = shield.config
+    n_action = shield.models["full"].n_action
+    rows, rhs, margins = [], [], []
+    for spec in cfg.constraints:
+        model, bnd = shield.models[spec.binding], shield.bounds[spec.binding]
+        if spec.binding == "position":
+            y0, cols = s[list(cfg.pos_state_dims)], list(cfg.lin_action_dims)
+            gamma = cfg.gamma
+        else:
+            y0, cols = s, list(range(n_action))
+            gamma = cfg.gamma if cfg.gamma_behavioral is None else cfg.gamma_behavioral
+        for y in corner_reference(y0, bnd.e_s, cfg.vertex_budget):
+            b, grad = spec.barrier.value_and_grad(y)
+            f, g = model.drift_and_gain(y)
+            row = np.zeros(n_action)
+            row[cols] = -(grad @ g)
+            rows.append(row)
+            rhs.append(float(grad @ f) - float(np.abs(grad).max() * bnd.e_sdot) + gamma * b)
+        margins.append(spec.barrier.value(y0))
+    return np.array(rows), np.array(rhs), np.array(margins)
+
+
+class TestBatchedRowsMatchPerPointReference:
+    def test_rows_margins_and_action_on_default_stack(self, default_stack):
+        stack = default_stack
+        sphere = zone_on_path()
+        cylinder = CylinderZone([0.12, 0.14, 0.08], [0, 0, 1], radius=0.02, length=0.08)
+        constraints = [
+            ConstraintSpec(SphereZone(sphere["center"], sphere["radius"]), "position"),
+            ConstraintSpec(cylinder, "position"),
+            ConstraintSpec(TaskSpaceBarrier(np.vstack([d.states for d in stack.demos]),
+                                            radius=0.5), "full"),
+        ]
+        cfg = ShieldConfig(gamma=10.0, constraints=constraints,
+                           lb=-0.05 * np.ones(4), ub=0.05 * np.ones(4))
+        shield = SafetyShield(cfg, models={"position": stack.pos, "full": stack.full},
+                              bounds={"position": stack.bounds_pos, "full": stack.bounds_full})
+        rng = np.random.default_rng(0)
+        # demonstrations ignore the zones: keep the states outside both, where
+        # the hard QP applies (the slack relaxation's penalty of 1e6 would
+        # amplify last-digit row differences past 1e-12)
+        states = [s for d in stack.held_demos for s in d.states[::5]
+                  if min(spec.barrier.hard_value(s[:3]) for spec in constraints[:2]) > 0.0]
+        assert len(states) >= 50
+        target = np.array(sphere["center"])
+        intervened = 0
+        for s in states:
+            # aim at the sphere so steps near it intervene
+            push = target - s[:3]
+            a_des = np.append(0.05 * push / np.linalg.norm(push), rng.uniform(-0.05, 0.05))
+            G_ref, h_ref, m_ref = per_point_rows(shield, s)
+            G, h = shield.constraint_rows(s)
+            assert G.shape == G_ref.shape == (9 + 9 + 17, 4)
+            assert np.max(np.abs(G - G_ref)) <= 1e-12
+            assert np.max(np.abs(h - h_ref)) <= 1e-12
+            rep = shield.filter(a_des, s)
+            assert not rep.infeasible
+            assert np.max(np.abs(rep.margins - m_ref)) <= 1e-12
+            ref = qp.solve_with_slack(
+                qp.QpProblem(P=np.eye(4), q=-a_des, G=G_ref, h=h_ref, lb=cfg.lb, ub=cfg.ub),
+                penalty=cfg.slack_penalty)
+            assert np.max(np.abs(rep.a_safe - ref.a)) <= 1e-12
+            intervened += rep.intervened
+        assert intervened >= 5, "the states never brought the sphere row into play"
+
+
 class TestStateBoxRobustification:
+    @pytest.mark.parametrize("n,budget", [(1, 64), (3, 64), (4, 64), (4, 5), (8, 16), (8, 64)])
+    def test_box_vertices_match_corner_enumeration(self, n, budget):
+        center = np.linspace(-1.0, 1.0, n)
+        assert np.array_equal(box_vertices(center, 0.1, budget),
+                              corner_reference(center, 0.1, budget))
     def test_zero_state_error_degenerates_to_center_row(self):
         zone = SphereZone([0, 0, 0], 1.0)
         model = AffineModel.integrator(3)
         s = np.array([2.0, 0, 0])
-        rows, rhs = robustify_over_state_box(zone, model, s, ZERO, gamma=1.0)
+        rows, rhs, _ = robustify_over_state_box(zone, model, s, ZERO, gamma=1.0)
         assert rows.shape == (1, 3)
         G, h = build_constraint(zone, model, s, ZERO, gamma=1.0)
         assert np.array_equal(rows[0], G) and rhs[0] == h
@@ -91,22 +181,19 @@ class TestStateBoxRobustification:
         zone = SphereZone([0, 0, 0], 1.0)
         model = AffineModel.integrator(3)
         bounds = UncertaintyBounds(e_sdot=0.0, e_s=0.01)
-        rows, rhs = robustify_over_state_box(zone, model, np.array([2.0, 0, 0]), bounds, 1.0)
+        rows, rhs, _ = robustify_over_state_box(zone, model, np.array([2.0, 0, 0]), bounds, 1.0)
         assert rows.shape == (9, 3)  # 2^3 vertices + center
 
     def test_monotone_barrier_binding_vertex(self):
         # 1-D linear barrier b(y) = y with an integrator: rows at y = s +- e_s;
         # the binding (smallest rhs) row is the low vertex
         class Line:
-            def value_and_grad(self, y):
-                return float(y[0]), np.array([1.0])
-
-            def value(self, y):
-                return float(y[0])
+            def value_and_grad_batch(self, Y):
+                return Y[:, 0].copy(), np.ones_like(Y)
 
         model = AffineModel.integrator(1)
         bounds = UncertaintyBounds(e_sdot=0.0, e_s=0.25)
-        rows, rhs = robustify_over_state_box(Line(), model, np.array([1.0]), bounds, gamma=2.0)
+        rows, rhs, _ = robustify_over_state_box(Line(), model, np.array([1.0]), bounds, gamma=2.0)
         assert rows.shape == (3, 1)
         assert rhs.min() == pytest.approx(2.0 * (1.0 - 0.25), abs=1e-12)
         assert rhs.max() == pytest.approx(2.0 * (1.0 + 0.25), abs=1e-12)
@@ -129,8 +216,8 @@ class TestStateBoxRobustification:
         model = AffineModel.integrator(3)
         bounds = UncertaintyBounds(e_sdot=0.01, e_s=0.05)
         s = np.array([1.5, 0.3, -0.2])
-        rows_s, rhs_s = robustify_over_state_box(zone, model, s, bounds, 1.0, vertex_budget=4)
-        rows_l, rhs_l = robustify_over_state_box(zone, model, s, bounds, 1.0, vertex_budget=8)
+        rows_s, rhs_s, _ = robustify_over_state_box(zone, model, s, bounds, 1.0, vertex_budget=4)
+        rows_l, rhs_l, _ = robustify_over_state_box(zone, model, s, bounds, 1.0, vertex_budget=8)
         assert np.array_equal(rows_s, rows_l[: rows_s.shape[0]])
         for _ in range(100):
             a = rng.uniform(-1, 1, 3)
@@ -211,6 +298,18 @@ class TestFilter:
         assert rep.infeasible
         assert rep.slack_used > 1e-6
         assert np.all(np.abs(rep.a_safe) <= 0.01 + 1e-12)  # box stays hard
+
+    def test_failed_relaxation_reports_infeasible(self):
+        # empty action box (lb > ub on the first axis): the hard QP and its
+        # slack relaxation both fail, and the report must say so
+        cfg = ShieldConfig(gamma=1.0, constraints=[ConstraintSpec(SphereZone([0.0, 0, 0], 1.0),
+                                                                  "position")],
+                           lb=np.array([0.05, -1.0, -1.0]), ub=np.array([-0.05, 1.0, 1.0]))
+        shield = SafetyShield(cfg, models={"position": AffineModel.integrator(3)},
+                              bounds={"position": ZERO})
+        rep = shield.filter(np.zeros(3), np.array([2.0, 0, 0]))
+        assert rep.infeasible
+        assert np.isnan(rep.slack_used)  # no relaxed optimum exists
 
     def test_nonfinite_inputs_rejected(self):
         shield = sphere_shield()
