@@ -6,6 +6,11 @@ demonstration segments, differentiating straight through the fixed-step
 integrator on the autodiff tape. Uncertainty is quantified on held-out
 transitions as worst-case L1 errors of the predicted derivative and of the
 one-step integration, which the safety filter consumes as robustness budgets.
+Those errors are evaluated one demonstration at a time, all of its
+transitions in one batch through drift_and_gain_batch; the bounds are the
+running max over demonstrations. Read as a split-conformal quantile over n
+exchangeable held-out trajectories, each bound covers a fresh trajectory's
+worst transition with probability at least n/(n+1).
 """
 
 from __future__ import annotations
@@ -165,6 +170,13 @@ def _step_rk4(field, s, a, dt):
     return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _stepper(method: str):
+    stepper = {"euler": _step_euler, "rk4": _step_rk4}.get(method)
+    if stepper is None:
+        raise ValueError(f"unknown method {method!r}")
+    return stepper
+
+
 def integrate(field, s0, actions, dt, method: str = "rk4"):
     """Roll a field sdot = field(s, a) forward with piecewise-constant actions.
 
@@ -179,9 +191,7 @@ def integrate(field, s0, actions, dt, method: str = "rk4"):
         actions = actions[None, :]
     if actions.shape[0] < 1:
         raise ValueError("horizon must be >= 1")
-    stepper = {"euler": _step_euler, "rk4": _step_rk4}.get(method)
-    if stepper is None:
-        raise ValueError(f"unknown method {method!r}")
+    stepper = _stepper(method)
     out = np.empty((actions.shape[0] + 1, s0.shape[0]))
     out[0] = s0
     for t in range(actions.shape[0]):
@@ -435,51 +445,101 @@ def derive_position_model(
 # -- uncertainty -----------------------------------------------------------------
 
 
+def _one_step_errors(model, S, A, S_next, dt, method: str = "rk4"):
+    """Per-coordinate absolute errors of B transitions (S, A) -> S_next, each
+    (B, n): of the field against the forward difference (S_next - S)/dt, and
+    of one integrator step of size dt from the true state S. Every field
+    evaluation is one drift_and_gain_batch call over the whole batch."""
+    stepper = _stepper(method)
+
+    def field(X, U):
+        f, g = model.drift_and_gain_batch(X)
+        return f + (g @ U[:, :, None])[:, :, 0]
+
+    S = np.asarray(S, dtype=np.float64)
+    A = np.asarray(A, dtype=np.float64)
+    S_next = np.asarray(S_next, dtype=np.float64)
+    d_err = np.abs((S_next - S) / dt - field(S, A))
+    s_err = np.abs(S_next - stepper(field, S, A, dt))
+    return d_err, s_err
+
+
 @dataclass
 class UncertaintyBounds:
     """Worst-case L1 model errors: e_sdot on the predicted derivative
     (state-units/s) and e_s on the one-step integration (state units), with
-    coordinate-wise variants. Each scalar is the max over the transitions seen."""
+    coordinate-wise variants. Each scalar is the max over the transitions seen.
+
+    Provenance, set by quantify_uncertainty: n_trajectories held-out
+    trajectories were evaluated, and e_sdot_at / e_s_at give the (trajectory,
+    t) attaining each bound, trajectory indexing the evaluated list. An online
+    update that raises a bound clears its location."""
 
     e_sdot: float
     e_s: float
     per_dim_sdot: np.ndarray = field(default_factory=lambda: np.zeros(0))
     per_dim_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    n_trajectories: int = 0
+    e_sdot_at: tuple[int, int] | None = None
+    e_s_at: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.e_sdot < 0 or self.e_s < 0:
             raise ValueError("bounds must be nonnegative")
 
+    @property
+    def coverage(self) -> float | None:
+        """Per-trajectory split-conformal coverage n/(n+1) of the bounds,
+        assuming held-out and future trajectories are exchangeable."""
+        n = self.n_trajectories
+        return n / (n + 1) if n else None
+
     def update_online(self, model: NeuralOdeModel, s, a, s_next, method="rk4"):
         """Running-max update from one executed transition (the online mode)."""
-        s = np.asarray(s, dtype=np.float64)
-        s_next = np.asarray(s_next, dtype=np.float64)
-        sdot_star = (s_next - s) / model.dt
-        d_err = np.abs(sdot_star - model.field(s, a))
-        pred = integrate(model.field, s, np.asarray(a)[None, :], model.dt, method)[-1]
-        s_err = np.abs(s_next - pred)
-        self.e_sdot = max(self.e_sdot, float(d_err.sum()))
-        self.e_s = max(self.e_s, float(s_err.sum()))
+        d_err, s_err = _one_step_errors(
+            model, np.atleast_2d(s), np.atleast_2d(a), np.atleast_2d(s_next), model.dt, method
+        )
+        d_err, s_err = d_err[0], s_err[0]
+        if d_err.sum() > self.e_sdot:
+            self.e_sdot, self.e_sdot_at = float(d_err.sum()), None
+        if s_err.sum() > self.e_s:
+            self.e_s, self.e_s_at = float(s_err.sum()), None
         if self.per_dim_sdot.size:
             np.maximum(self.per_dim_sdot, d_err, out=self.per_dim_sdot)
             np.maximum(self.per_dim_s, s_err, out=self.per_dim_s)
         return self
 
     def to_dict(self) -> dict:
+        def at(loc):
+            return None if loc is None else {"trajectory": loc[0], "t": loc[1]}
+
         return {
             "e_sdot": self.e_sdot,
             "e_s": self.e_s,
             "per_dim_sdot": self.per_dim_sdot.tolist(),
             "per_dim_s": self.per_dim_s.tolist(),
+            "n_trajectories": self.n_trajectories,
+            "coverage": self.coverage,
+            "e_sdot_at": at(self.e_sdot_at),
+            "e_s_at": at(self.e_s_at),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "UncertaintyBounds":
+        """Inverse of to_dict; the provenance keys are optional, so files
+        written before they existed still load."""
+
+        def at(loc):
+            return None if loc is None else (int(loc["trajectory"]), int(loc["t"]))
+
         return cls(
             e_sdot=float(d["e_sdot"]),
             e_s=float(d["e_s"]),
             per_dim_sdot=np.asarray(d.get("per_dim_sdot", []), dtype=np.float64),
             per_dim_s=np.asarray(d.get("per_dim_s", []), dtype=np.float64),
+            n_trajectories=int(d.get("n_trajectories", 0)),
+            e_sdot_at=at(d.get("e_sdot_at")),
+            e_s_at=at(d.get("e_s_at")),
         )
 
 
@@ -490,26 +550,41 @@ def quantify_uncertainty(
 
     The reference derivative is the forward difference (s_{t+1} - s_t)/dt,
     matching one-step prediction semantics; the one-step prediction integrates
-    from the ground-truth s_t. eval_demos should be disjoint from the training
-    split.
+    from the ground-truth s_t with the demonstration's own dt. eval_demos
+    should be disjoint from the training split. Each demonstration is one
+    batch through drift_and_gain_batch; the bounds and the (trajectory, t) that
+    attains each (earliest on ties) are running maxima over demonstrations.
+
+    Meaning: with n held-out trajectories exchangeable with a future one, the
+    future trajectory's worst transition error exceeds the bound with
+    probability at most 1/(n+1) (split-conformal coverage n/(n+1), reported
+    as UncertaintyBounds.coverage). It does not extend to trajectories drawn
+    differently from the held-out ones, e.g. under another policy or scene.
+
+    Raises ValueError on an empty evaluation set and on a method other than
+    "rk4" or "euler".
     """
     if not eval_demos:
         raise ValueError("evaluation set is empty")
-    e_sdot = 0.0
-    e_s = 0.0
-    pd_sdot = np.zeros(model.n_state)
-    pd_s = np.zeros(model.n_state)
-    for d in eval_demos:
-        dt = d.dt
-        for t in range(len(d.actions)):
-            s, a, s_next = d.states[t], d.actions[t], d.states[t + 1]
-            d_err = np.abs((s_next - s) / dt - model.field(s, a))
-            pred = _step_rk4(model.field, s, a, dt) if method == "rk4" else _step_euler(
-                model.field, s, a, dt
-            )
-            s_err = np.abs(s_next - pred)
-            e_sdot = max(e_sdot, float(d_err.sum()))
-            e_s = max(e_s, float(s_err.sum()))
-            np.maximum(pd_sdot, d_err, out=pd_sdot)
-            np.maximum(pd_s, s_err, out=pd_s)
-    return UncertaintyBounds(e_sdot=e_sdot, e_s=e_s, per_dim_sdot=pd_sdot, per_dim_s=pd_s)
+    _stepper(method)
+    b = UncertaintyBounds(
+        e_sdot=0.0,
+        e_s=0.0,
+        per_dim_sdot=np.zeros(model.n_state),
+        per_dim_s=np.zeros(model.n_state),
+        n_trajectories=len(eval_demos),
+    )
+    for i, d in enumerate(eval_demos):
+        if not len(d):
+            continue
+        d_err, s_err = _one_step_errors(model, d.states[:-1], d.actions, d.states[1:], d.dt, method)
+        d_l1, s_l1 = d_err.sum(axis=1), s_err.sum(axis=1)
+        t = int(d_l1.argmax())
+        if b.e_sdot_at is None or d_l1[t] > b.e_sdot:
+            b.e_sdot, b.e_sdot_at = float(d_l1[t]), (i, t)
+        t = int(s_l1.argmax())
+        if b.e_s_at is None or s_l1[t] > b.e_s:
+            b.e_s, b.e_s_at = float(s_l1[t]), (i, t)
+        np.maximum(b.per_dim_sdot, d_err.max(axis=0), out=b.per_dim_sdot)
+        np.maximum(b.per_dim_s, s_err.max(axis=0), out=b.per_dim_s)
+    return b

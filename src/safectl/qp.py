@@ -43,7 +43,7 @@ class QpProblem:
         m = self.q.shape[0]
         if self.P.shape != (m, m):
             raise ValueError(f"P shape {self.P.shape} vs q dim {m}")
-        if not np.allclose(self.P, self.P.T, atol=1e-10):
+        if not (np.abs(self.P - self.P.T) <= 1e-10).all():
             raise ValueError("P must be symmetric to 1e-10")
         if self.G is None:
             self.G = np.zeros((0, m))
@@ -59,26 +59,25 @@ class QpProblem:
         return self.q.shape[0]
 
     def stacked_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All inequalities as rows (finite box bounds appended), plus a map
-        from stacked row index to original constraint index (box rows: -1)."""
-        rows = [self.G]
-        rhs = [self.h]
-        origin = [np.arange(self.G.shape[0])]
-        m = self.dim
-        eye = np.eye(m)
-        if self.ub is not None:
-            ub = np.asarray(self.ub, dtype=np.float64)
-            fin = np.isfinite(ub)
-            rows.append(eye[fin])
-            rhs.append(ub[fin])
-            origin.append(np.full(int(fin.sum()), -1))
-        if self.lb is not None:
-            lb = np.asarray(self.lb, dtype=np.float64)
-            fin = np.isfinite(lb)
-            rows.append(-eye[fin])
-            rhs.append(-lb[fin])
-            origin.append(np.full(int(fin.sum()), -1))
-        return np.vstack(rows), np.concatenate(rhs), np.concatenate(origin)
+        """All inequalities as rows (finite box bounds appended, upper before
+        lower), plus a map from stacked row index to original constraint
+        index (box rows: -1)."""
+        m, k = self.dim, self.G.shape[0]
+        bound = np.empty(2 * m)  # [ub; lb], a missing side reads as infinite
+        bound[:m] = np.inf if self.ub is None else self.ub
+        bound[m:] = -np.inf if self.lb is None else self.lb
+        fin = np.isfinite(bound).nonzero()[0]
+        sign = np.where(fin < m, 1.0, -1.0)
+        n = k + fin.size
+        rows = np.zeros((n, m))
+        rows[:k] = self.G
+        rows[np.arange(k, n), fin % m] = sign
+        rhs = np.empty(n)
+        rhs[:k] = self.h
+        rhs[k:] = sign * bound[fin]
+        origin = np.full(n, -1)
+        origin[:k] = np.arange(k)
+        return rows, rhs, origin
 
 
 @dataclass

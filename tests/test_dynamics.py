@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safectl import dynamics as dyn
 from safectl.dynamics import (
@@ -232,10 +236,151 @@ class TestUncertainty:
     def test_roundtrip_dict(self):
         b = UncertaintyBounds(e_sdot=0.1, e_s=0.02,
                               per_dim_sdot=np.array([0.1, 0.05]),
-                              per_dim_s=np.array([0.02, 0.01]))
-        b2 = UncertaintyBounds.from_dict(b.to_dict())
+                              per_dim_s=np.array([0.02, 0.01]),
+                              n_trajectories=20, e_sdot_at=(3, 17), e_s_at=(0, 4))
+        d = b.to_dict()
+        assert d["coverage"] == pytest.approx(20 / 21)
+        assert d["e_sdot_at"] == {"trajectory": 3, "t": 17}
+        b2 = UncertaintyBounds.from_dict(json.loads(json.dumps(d)))
         assert b2.e_sdot == b.e_sdot and b2.e_s == b.e_s
         assert np.array_equal(b2.per_dim_sdot, b.per_dim_sdot)
+        assert np.array_equal(b2.per_dim_s, b.per_dim_s)
+        assert (b2.n_trajectories, b2.e_sdot_at, b2.e_s_at) == (20, (3, 17), (0, 4))
+        assert b2.to_dict() == d
+
+    def test_dict_without_provenance_keys_loads(self):
+        # bound files written before n_trajectories/coverage/*_at existed
+        old = {"e_sdot": 0.1, "e_s": 0.02, "per_dim_sdot": [0.1], "per_dim_s": [0.02]}
+        b = UncertaintyBounds.from_dict(old)
+        assert (b.e_sdot, b.e_s) == (0.1, 0.02)
+        assert (b.n_trajectories, b.coverage, b.e_sdot_at, b.e_s_at) == (0, None, None, None)
+
+    def test_online_update_clears_location_of_a_raised_bound(self):
+        model = AffineModel.integrator(2)
+        b = UncertaintyBounds(e_sdot=0.1, e_s=0.01, n_trajectories=4,
+                              e_sdot_at=(1, 2), e_s_at=(1, 2))
+        b.update_online(model, np.zeros(2), np.zeros(2), np.array([0.001, 0.0]))
+        assert b.e_sdot_at == (1, 2) and b.e_s_at == (1, 2)
+        b.update_online(model, np.zeros(2), np.zeros(2), np.array([0.02, 0.0]))
+        assert b.e_sdot_at is None and b.e_s_at is None
+
+
+def reference_quantify(model, demos, method):
+    """Per-transition loop: the errors of every (trajectory, t) one at a time,
+    with single-point field calls and the single-state integrator step."""
+    step = {"rk4": dyn._step_rk4, "euler": dyn._step_euler}[method]
+    e_sdot = e_s = 0.0
+    at_sdot = at_s = None
+    pd_sdot = np.zeros(model.n_state)
+    pd_s = np.zeros(model.n_state)
+    for i, d in enumerate(demos):
+        for t in range(len(d.actions)):
+            s, a, s_next = d.states[t], d.actions[t], d.states[t + 1]
+            d_err = np.abs((s_next - s) / d.dt - model.field(s, a))
+            s_err = np.abs(s_next - step(model.field, s, a, d.dt))
+            if at_sdot is None or d_err.sum() > e_sdot:
+                e_sdot, at_sdot = float(d_err.sum()), (i, t)
+            if at_s is None or s_err.sum() > e_s:
+                e_s, at_s = float(s_err.sum()), (i, t)
+            np.maximum(pd_sdot, d_err, out=pd_sdot)
+            np.maximum(pd_s, s_err, out=pd_s)
+    return e_sdot, e_s, pd_sdot, pd_s, at_sdot, at_s
+
+
+def random_demos(rng, n, m, lengths, dts):
+    demos = []
+    for T, dt in zip(lengths, dts):
+        actions = rng.uniform(-0.5, 0.5, size=(T, m))
+        steps = dt * rng.uniform(-0.5, 0.5, size=(T, n))
+        states = np.cumsum(np.vstack([rng.uniform(-1, 1, n), steps]), axis=0)
+        demos.append(Demonstration(states=states, actions=actions, dt=dt))
+    return demos
+
+
+class TestBatchedQuantifyMatchesPerTransitionReference:
+    RTOL = 1e-12
+
+    def check(self, model, demos, method):
+        b = quantify_uncertainty(model, demos, method=method)
+        e_sdot, e_s, pd_sdot, pd_s, at_sdot, at_s = reference_quantify(model, demos, method)
+        assert b.e_sdot == pytest.approx(e_sdot, rel=self.RTOL, abs=0)
+        assert b.e_s == pytest.approx(e_s, rel=self.RTOL, abs=0)
+        np.testing.assert_allclose(b.per_dim_sdot, pd_sdot, rtol=self.RTOL, atol=0)
+        np.testing.assert_allclose(b.per_dim_s, pd_s, rtol=self.RTOL, atol=0)
+        assert b.n_trajectories == len(demos)
+        # the reported location attains the bound (ties may pick either)
+        for at, bound, kind in ((b.e_sdot_at, b.e_sdot, "sdot"), (b.e_s_at, b.e_s, "s")):
+            i, t = at
+            d = demos[i]
+            one = reference_quantify(model, [Demonstration(d.states[t : t + 2], d.actions[t : t + 1],
+                                                           d.dt)], method)
+            assert (one[0] if kind == "sdot" else one[1]) == pytest.approx(bound, rel=self.RTOL)
+        return b, (at_sdot, at_s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           method=st.sampled_from(["rk4", "euler"]),
+           lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+           hidden=st.integers(1, 16))
+    def test_neural_ode_model(self, seed, method, lengths, hidden):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        model = NeuralOdeModel.create(n, m, hidden=hidden, seed=int(rng.integers(0, 1000)))
+        dts = rng.choice([0.05, 0.1, 0.2], size=len(lengths))
+        self.check(model, random_demos(rng, n, m, lengths, dts), method)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           method=st.sampled_from(["rk4", "euler"]),
+           lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    def test_affine_model(self, seed, method, lengths):
+        rng = np.random.default_rng(seed)
+        n, m = 3, 2
+        model = AffineModel(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, m)),
+                            c=rng.normal(size=n))
+        dts = rng.uniform(0.01, 0.3, size=len(lengths))
+        self.check(model, random_demos(rng, n, m, lengths, dts), method)
+
+    def test_location_is_the_earliest_maximum(self):
+        # identical trajectories: every bound is attained in each of them
+        rng = np.random.default_rng(5)
+        model = NeuralOdeModel.create(3, 3, hidden=8, seed=1)
+        demo = random_demos(rng, 3, 3, [12], [0.1])[0]
+        b, ref_at = self.check(model, [demo, demo, demo], "rk4")
+        assert (b.e_sdot_at, b.e_s_at) == ref_at
+        assert b.e_sdot_at[0] == 0 and b.e_s_at[0] == 0
+
+    def test_demo_without_transitions_is_skipped(self):
+        rng = np.random.default_rng(6)
+        model = AffineModel.integrator(2)
+        demos = random_demos(rng, 2, 2, [5], [0.1])
+        empty = Demonstration(states=np.zeros((1, 2)), actions=np.zeros((0, 2)), dt=0.1)
+        b = quantify_uncertainty(model, [empty] + demos)
+        ref = quantify_uncertainty(model, demos)
+        assert (b.e_sdot, b.e_s) == (ref.e_sdot, ref.e_s)
+        assert b.e_sdot_at == (1, ref.e_sdot_at[1]) and b.n_trajectories == 2
+
+    def test_online_update_matches_one_transition_quantify(self):
+        rng = np.random.default_rng(7)
+        model = NeuralOdeModel.create(3, 3, hidden=8, seed=2)
+        d = random_demos(rng, 3, 3, [1], [model.dt])[0]
+        b = UncertaintyBounds(e_sdot=0.0, e_s=0.0,
+                              per_dim_sdot=np.zeros(3), per_dim_s=np.zeros(3))
+        b.update_online(model, d.states[0], d.actions[0], d.states[1])
+        ref = quantify_uncertainty(model, [d])
+        assert (b.e_sdot, b.e_s) == (ref.e_sdot, ref.e_s)
+        assert np.array_equal(b.per_dim_sdot, ref.per_dim_sdot)
+        assert np.array_equal(b.per_dim_s, ref.per_dim_s)
+
+    @pytest.mark.parametrize("method", ["RK4", "rk5", "Euler", ""])
+    def test_unknown_method_raises(self, method):
+        model = AffineModel.integrator(2)
+        demos = random_demos(np.random.default_rng(0), 2, 2, [3], [0.1])
+        with pytest.raises(ValueError, match="unknown method"):
+            quantify_uncertainty(model, demos, method=method)
+        with pytest.raises(ValueError, match="unknown method"):
+            UncertaintyBounds(0.0, 0.0).update_online(
+                model, np.zeros(2), np.zeros(2), np.zeros(2), method=method)
 
 
 class TestPositionModel:

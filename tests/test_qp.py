@@ -181,6 +181,54 @@ def test_problem_validation():
         qp.QpProblem(P=np.eye(2), q=np.zeros(2), G=[[1.0, 0.0, 0.0]], h=[0.0])
 
 
+@pytest.mark.parametrize("asym,ok", [(2e-10, False), (5e-11, True)])
+def test_symmetry_tolerance_is_absolute_1e10(asym, ok):
+    # entries of magnitude 1: a relative tolerance would pass both
+    P = np.array([[2.0, 1.0], [1.0 + asym, 2.0]])
+    if ok:
+        qp.QpProblem(P=P, q=np.zeros(2))
+    else:
+        with pytest.raises(ValueError, match="symmetric to 1e-10"):
+            qp.QpProblem(P=P, q=np.zeros(2))
+
+
+def test_nan_in_p_is_rejected():
+    with pytest.raises(ValueError, match="symmetric"):
+        qp.QpProblem(P=np.array([[1.0, np.nan], [np.nan, 1.0]]), q=np.zeros(2))
+
+
+def stacked_rows_reference(problem):
+    """G, then the identity rows of the finite upper bounds, then the negated
+    identity rows of the finite lower bounds."""
+    rows, rhs, origin = [problem.G], [problem.h], [np.arange(problem.G.shape[0])]
+    eye = np.eye(problem.dim)
+    for bound, sign in ((problem.ub, 1.0), (problem.lb, -1.0)):
+        if bound is not None:
+            fin = np.isfinite(np.asarray(bound, dtype=np.float64))
+            rows.append(sign * eye[fin])
+            rhs.append(sign * np.asarray(bound, dtype=np.float64)[fin])
+            origin.append(np.full(int(fin.sum()), -1))
+    return np.vstack(rows), np.concatenate(rhs), np.concatenate(origin)
+
+
+@pytest.mark.parametrize("lb,ub", [
+    (-np.ones(3), np.ones(3)),
+    (None, None),
+    (None, [1.0, np.inf, 2.0]),
+    ([-np.inf, -1.0, -np.inf], None),
+    ([-np.inf, -1.0, 0.5], [np.inf, np.inf, np.inf]),
+    ([-1, -2, -3], [1, 2, 3]),  # integer bounds
+])
+@pytest.mark.parametrize("k", [0, 4])
+def test_stacked_rows_match_reference(lb, ub, k):
+    rng = np.random.default_rng(k)
+    problem = qp.QpProblem(P=np.eye(3), q=np.zeros(3),
+                           G=rng.normal(size=(k, 3)) if k else None,
+                           h=rng.normal(size=k) if k else None, lb=lb, ub=ub)
+    for got, want in zip(problem.stacked_rows(), stacked_rows_reference(problem)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_dump_problem_is_json_ready():
     import json
 
