@@ -27,6 +27,15 @@ AXIS_EPS = 1e-9
 _TIE_TOL = 1e-12  # relative distance tolerance under which nearest neighbours tie
 
 
+def cross3(a, b):
+    """np.cross for operands of shape (..., 3), as the same per-component
+    products and differences, so the result is bitwise equal; without
+    np.cross's axis handling it costs about a third as much on small batches."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _single(barrier, x):
     """(b, grad) at one point as the B = 1 case of the barrier's batch method."""
     b, grad = barrier.value_and_grad_batch(np.asarray(x, dtype=np.float64)[None, :])
@@ -107,7 +116,7 @@ class CylinderZone:
     def components(self, x):
         """(b_radial, b_vertical) without smoothing."""
         rel = np.asarray(x, dtype=np.float64) - self.point
-        b_rad = np.linalg.norm(np.cross(rel, self.axis)) - self.radius
+        b_rad = np.linalg.norm(cross3(rel, self.axis)) - self.radius
         b_vert = abs(rel @ self.axis) - 0.5 * self.length
         return float(b_rad), float(b_vert)
 
@@ -124,14 +133,14 @@ class CylinderZone:
     def value_and_grad_batch(self, X):
         v = self.axis
         rel = np.asarray(X, dtype=np.float64) - self.point
-        w = np.cross(rel, v)
+        w = cross3(rel, v)
         on_axis = np.linalg.norm(w, axis=1) < AXIS_EPS
         if on_axis.any():
             rel = self._off_axis(rel, on_axis)
-            w = np.cross(rel, v)
+            w = cross3(rel, v)
         wn = np.linalg.norm(w, axis=1)
         b_rad = wn - self.radius
-        grad_rad = np.cross(v, w) / wn[:, None]
+        grad_rad = cross3(v, w) / wn[:, None]
         ax = rel @ v
         b_vert = np.abs(ax) - 0.5 * self.length
         grad_vert = np.sign(ax)[:, None] * v  # sign(0) = 0: no vertical gradient on the mid-plane

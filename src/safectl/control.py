@@ -3,8 +3,9 @@
 - WaypointTracker + clf_action: reference-path follower. A quadratic Lyapunov
   function V(s) = ||c*(s - s_des)||^2 is driven down by the minimum-norm
   action satisfying the exponential decrease condition
-  Vdot + beta*V <= 0, expanded through the learned control-affine model and
-  solved as a one-row QP.
+  Vdot + beta*V <= 0, expanded through the learned control-affine model. With
+  one row and P = I the minimum-norm action is a projection with a closed form
+  (Ames et al. 2019, "Control Barrier Functions: Theory and Applications").
 - KnnExpertPolicy: non-parametric regression of expert actions, softmax
   weighted over the nearest demonstration states (similar states are assumed
   to share similar optimal actions).
@@ -59,17 +60,19 @@ class ReferencePath:
     def arc_length(self) -> float:
         return float(np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1).sum())
 
-    def distance_to(self, point) -> float:
-        """Distance from a point to the waypoint polyline (used for tracking
-        deviation); computed segment-wise."""
-        p = np.asarray(point, dtype=np.float64)
-        best = np.inf
-        w = self.waypoints
-        for i in range(len(w) - 1):
-            seg = w[i + 1] - w[i]
-            t = np.clip((p - w[i]) @ seg / (seg @ seg), 0.0, 1.0)
-            best = min(best, float(np.linalg.norm(p - (w[i] + t * seg))))
-        return best
+    def distance_to(self, points):
+        """Distance from each point of `points` (T, n), or from one point (n,),
+        to the waypoint polyline (used for tracking deviation): every
+        segment's clamped projection at once, then the nearest. Returns a
+        (T,) array, or a float for one point."""
+        p = np.asarray(points, dtype=np.float64)
+        start = self.waypoints[:-1]
+        seg = np.diff(self.waypoints, axis=0)  # (M, n)
+        rel = p[..., None, :] - start  # (..., M, n)
+        t = np.clip((rel * seg).sum(axis=-1) / (seg * seg).sum(axis=-1), 0.0, 1.0)
+        d = np.linalg.norm(p[..., None, :] - (start + t[..., None] * seg), axis=-1)
+        best = d.min(axis=-1)
+        return float(best) if p.ndim == 1 else best
 
 
 def straight_path(start, end, n_points: int = 36) -> ReferencePath:
@@ -205,9 +208,16 @@ def clf_action(model: NeuralOdeModel, s, s_des, cfg: ClfConfig) -> np.ndarray:
     """Minimum-norm action with V decreasing at rate beta.
 
     V = ||c*(s - s_des)||^2, gradV = 2c^2 (s - s_des). The decrease condition
-    L_f V + L_g V a + beta V <= 0 becomes the single QP row
-    G a <= h with G = L_g V = gradV' g(s), h = -L_f V - beta V, solved with
-    P = I, q = 0.
+    L_f V + L_g V a + beta V <= 0 is the single row G a <= h with
+    G = L_g V = gradV' g(s), h = -L_f V - beta V, and the minimum-norm action
+    (P = I, q = 0) is its closed form: a = 0 when h >= -FEAS_TOL, otherwise the
+    projection a = (h / ||G||^2) G'. This is qp.solve's first step on the
+    one-row problem, with the same tolerances and the same arithmetic, so the
+    two agree up to the sign of a zero action (the QP would only refine the
+    projection further if its rounding left the row violated by more than
+    FEAS_TOL, which needs |h| of order 1e7). Raises UncontrollableError when
+    the row is violated at a = 0 and ||G||^2 is below the QP's dependence
+    tolerance.
     """
     s = np.asarray(s, dtype=np.float64)
     s_des = np.asarray(s_des, dtype=np.float64)
@@ -217,19 +227,16 @@ def clf_action(model: NeuralOdeModel, s, s_des, cfg: ClfConfig) -> np.ndarray:
     f, g = model.drift_and_gain(s)
     lf_v = float(grad_v @ f)
     lg_v = grad_v @ g
-    problem = qp.QpProblem(
-        P=np.eye(model.n_action),
-        q=np.zeros(model.n_action),
-        G=lg_v[None, :],
-        h=np.array([-lf_v - cfg.beta * v]),
-    )
-    sol = qp.solve(problem)
-    if sol.status != "optimal":
+    h = -lf_v - cfg.beta * v
+    if -h <= qp.FEAS_TOL:
+        return np.zeros(model.n_action)
+    curv = float(lg_v @ lg_v)
+    if curv <= qp._DEP_TOL:
         raise UncontrollableError(
             f"uncontrollable descent direction: |L_gV|={np.linalg.norm(lg_v):.3e}, "
             f"L_fV+beta*V={lf_v + cfg.beta * v:.3e}"
         )
-    return sol.a
+    return -(-h / curv) * lg_v
 
 
 # -- kNN expert regression -------------------------------------------------------

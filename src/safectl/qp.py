@@ -1,18 +1,26 @@
 """Small dense convex QP solver: min 1/2 a'Pa + q'a  s.t.  Ga <= h, lb <= a <= ub.
 
-Active-set method starting from the unconstrained minimum -P^{-1}q: the most
-violated inequality is added to the working set, the step is taken through the
-Cholesky factor of P, and working rows whose multiplier would cross zero are
-dropped. With P = I every add is a projection onto the violated half-space, so
-the iteration is a projection cascade. Sized for m <= 8 variables and a few
-hundred rows; factorizations are recomputed densely per iteration.
+Dual active-set method (Goldfarb & Idnani 1983) starting from the
+unconstrained minimum -P^{-1}q: the most violated inequality is added to the
+working set, the step is taken through the Cholesky factor of P, and working
+rows whose multiplier would cross zero are dropped. With P = I every add is a
+projection onto the violated half-space, so the iteration is a projection
+cascade. Sized for m <= 8 variables and a few hundred rows; factorizations are
+recomputed densely per iteration.
+
+Feasible-first exit: when the unconstrained minimum already satisfies every
+row and the box within FEAS_TOL, it is the optimum, and `solve` returns it
+before stacking or deduplicating any row. This is the iteration's own first
+feasibility check moved ahead of the row preparation; dropping duplicate rows
+never changes the largest violation, so the answer is the same either way.
 
 Determinism: ties (equal violations, equal blocking ratios) resolve to the
 lowest row index. Duplicate (row, rhs) pairs are dropped within 1e-12 before
-solving, keeping the first of each; reported active-set indices refer to the
-caller's original rows. The dedupe is one array pass: O(k^2) rhs comparisons
-and memory for k rows, then O(m) row comparisons for each pair whose rhs
-match; only rows with an earlier near-duplicate are settled in a Python loop.
+the iteration, keeping the first of each; reported active-set indices refer to
+the caller's original rows. The dedupe is one array pass: O(k^2) rhs
+comparisons and memory for k rows, then O(m) row comparisons for each pair
+whose rhs match; only rows with an earlier near-duplicate are settled in a
+Python loop.
 """
 
 from __future__ import annotations
@@ -117,11 +125,16 @@ def solve(problem: QpProblem, max_iter: int = 500) -> QpSolution:
     Returns status "infeasible" when the inequalities admit no point, leaving
     the fallback to the caller.
 
+    The first iterate is the unconstrained minimum -P^{-1}q. When it violates
+    no row and no bound by more than FEAS_TOL it is returned at once as
+    "optimal", with an empty active set, no multipliers (the working set is
+    empty) and its KKT residual. A NaN in it fails that check and takes the
+    full path.
+
     Working-set invariants maintained every iteration: stationarity
     P x + q + G_A' lam = 0, lam >= 0, and G_A x = h_A on the working rows.
     """
     P, q = problem.P, problem.q
-    m = problem.dim
     try:
         cho = np.linalg.cholesky(P)
     except np.linalg.LinAlgError as e:
@@ -130,11 +143,19 @@ def solve(problem: QpProblem, max_iter: int = 500) -> QpSolution:
     def p_solve(rhs):
         return np.linalg.solve(cho.T, np.linalg.solve(cho, rhs))
 
+    x = p_solve(-q)
+    worst = _max_violation(problem, x)
+    if worst <= FEAS_TOL:
+        # the multipliers are all zero, so the residual is stationarity and
+        # primal feasibility alone, as kkt_residual computes it
+        resid = max(float(np.abs(P @ x + q).max()), max(0.0, worst))
+        return QpSolution(a=x, objective=_objective(problem, x), active_set=[],
+                          status="optimal", kkt_residual=resid)
+
     G, h, origin = problem.stacked_rows()
     G, h, origin = _dedupe(G, h, origin)
     k_rows = G.shape[0]
 
-    x = p_solve(-q)
     active: list[int] = []
     lam = np.zeros(0)
 
@@ -193,6 +214,21 @@ def solve(problem: QpProblem, max_iter: int = 500) -> QpSolution:
     return _finish(problem, G, h, origin, x, active, lam, "max_iter")
 
 
+def _max_violation(problem: QpProblem, x: np.ndarray) -> float:
+    """Largest violation of G x <= h and of the box at x; nan if x or a row
+    gives nan, -inf when there is nothing to violate."""
+    parts = [problem.G @ x - problem.h]
+    if problem.ub is not None:
+        parts.append(x - problem.ub)
+    if problem.lb is not None:
+        parts.append(problem.lb - x)
+    return float(np.concatenate(parts).max(initial=-np.inf))
+
+
+def _objective(problem: QpProblem, x: np.ndarray) -> float:
+    return 0.5 * float(x @ problem.P @ x) + float(problem.q @ x)
+
+
 def _finish(problem, G, h, origin, x, active, lam, status) -> QpSolution:
     full_lam = np.zeros(G.shape[0])
     for idx, l in zip(active, lam):
@@ -202,11 +238,10 @@ def _finish(problem, G, h, origin, x, active, lam, status) -> QpSolution:
         if status == "optimal"
         else float("nan")
     )
-    obj = 0.5 * float(x @ problem.P @ x) + float(problem.q @ x)
     ext_active = sorted(int(origin[i]) for i in active if origin[i] >= 0)
     return QpSolution(
         a=x,
-        objective=obj,
+        objective=_objective(problem, x),
         active_set=ext_active,
         status=status,
         multipliers=full_lam,
@@ -261,7 +296,7 @@ def solve_with_slack(problem: QpProblem, penalty: float = 1e6) -> QpSolution:
     xi = max(0.0, float(sol.a[m])) if sol.status == "optimal" else float("nan")
     return QpSolution(
         a=a,
-        objective=0.5 * float(a @ problem.P @ a) + float(problem.q @ a),
+        objective=_objective(problem, a),
         active_set=sol.active_set,
         status=sol.status,
         slack_used=xi,

@@ -12,18 +12,23 @@ box [s - e_s, s + e_s]; the condition is enforced at every box vertex plus
 the center (budget-capped with deterministic bit-reversal subsampling), which
 under-approximates the min over the box on the sampled set.
 
-Rows are built batched: per constraint, all box points go through one barrier
-`value_and_grad_batch` call (one kd-tree query for the task-space barrier) and
-one `drift_and_gain_batch` call (one MLP forward over the whole box), and the
-Lie derivatives and robust margins are formed with array operations. The
-center is the first box point, so the per-constraint margins the filter
-reports are the barrier values already computed for the center rows.
+Rows are built batched. The box points and the model evaluation depend only
+on the binding (position substate or full state), so each binding builds its
+box once and sends it through one `drift_and_gain_batch` call (one MLP
+forward), shared by every constraint on that binding. Per constraint, the box
+goes through one barrier `value_and_grad_batch` call (one kd-tree query for
+the task-space barrier), and the Lie derivatives and robust margins are
+formed with array operations. The center is the first box point, so the
+per-constraint margins the filter reports are the barrier values already
+computed for the center rows.
 
 The filter stacks spatial rows (position-substate model, acting on the
 linear-velocity action block) and the behavioral row (full-state model),
 then solves min ||a - a_des||^2 over the action box. Infeasibility falls
-back to a shared-slack relaxation; nonzero slack, or a relaxation that does
-not solve, is reported as infeasible instead of crashing the episode.
+back to a shared-slack relaxation; nonzero slack is reported as infeasible
+instead of crashing the episode. A relaxation that does not solve either
+(an empty action box, say) returns the zero action clipped to the box and
+is reported as an infeasible fallback step.
 """
 
 from __future__ import annotations
@@ -80,14 +85,15 @@ class FilterReport:
     slack_used: float
     solve_time: float
     infeasible: bool = False
+    fallback: bool = False  # the relaxation failed too; a_safe is the hold action
 
 
-def _rows_at(barrier, model: NeuralOdeModel, Y, bounds: UncertaintyBounds,
-             gamma: float, robust: bool, per_dim: bool):
-    """CBF rows at every evaluation point of Y (B, n): G (B, n_action) and
-    h (B,) as in build_constraint, plus the barrier values b (B,)."""
+def _rows_at(barrier, Y, f, g, bounds: UncertaintyBounds, gamma: float, robust: bool,
+             per_dim: bool):
+    """CBF rows at every evaluation point of Y (B, n), given the model's drift
+    f (B, n) and gain g (B, n, n_action) there: G (B, n_action) and h (B,) as
+    in build_constraint, plus the barrier values b (B,)."""
     b, grad = barrier.value_and_grad_batch(Y)
-    f, g = model.drift_and_gain_batch(Y)
     lf = np.einsum("bi,bi->b", grad, f)
     lg = np.einsum("bi,bij->bj", grad, g)
     if not robust:
@@ -103,8 +109,9 @@ def build_constraint(barrier, model: NeuralOdeModel, y, bounds: UncertaintyBound
                      gamma: float, robust: bool = True, per_dim: bool = False):
     """One QP row (G, h) for the CBF condition at evaluation point y:
     G = -L_g b(y), h = L_f b(y) - robust_term + gamma * b(y)."""
-    G, h, _ = _rows_at(barrier, model, np.asarray(y, dtype=np.float64)[None, :], bounds,
-                       gamma, robust, per_dim)
+    Y = np.asarray(y, dtype=np.float64)[None, :]
+    G, h, _ = _rows_at(barrier, Y, *model.drift_and_gain_batch(Y), bounds, gamma, robust,
+                       per_dim)
     return G[0], float(h[0])
 
 
@@ -145,9 +152,17 @@ def robustify_over_state_box(barrier, model: NeuralOdeModel, s, bounds: Uncertai
     the single row at s. Returns (rows, rhs, b) with b the barrier value at
     each box point; row 0 and b[0] belong to the center s itself.
     """
-    e_s = bounds.e_s if robust else 0.0
-    pts = box_vertices(np.asarray(s, dtype=np.float64), e_s, vertex_budget)
-    return _rows_at(barrier, model, pts, bounds, gamma, robust, per_dim)
+    return _rows_at(barrier, *_box_and_model(model, s, bounds, robust, vertex_budget),
+                    bounds, gamma, robust, per_dim)
+
+
+def _box_and_model(model: NeuralOdeModel, s, bounds: UncertaintyBounds, robust: bool,
+                   vertex_budget: int):
+    """The sampled uncertainty box around s (center first) and the model's
+    drift and gain at its points: (points, f, g), one MLP call."""
+    pts = box_vertices(np.asarray(s, dtype=np.float64), bounds.e_s if robust else 0.0,
+                       vertex_budget)
+    return (pts, *model.drift_and_gain_batch(pts))
 
 
 class SafetyShield:
@@ -180,23 +195,29 @@ class SafetyShield:
 
     def rows_and_margins(self, s):
         """constraint_rows plus the per-constraint barrier value at s, read
-        from each constraint's center row instead of evaluating again."""
+        from each constraint's center row instead of evaluating again.
+
+        The rows are robustify_over_state_box's for each constraint, with the
+        box points and their model evaluation built once per binding."""
         cfg = self.config
         s = np.asarray(s, dtype=np.float64)
         n_action = self.models["full"].n_action if "full" in self.models else (
             max(cfg.lin_action_dims) + 1
         )
+        at_box = {}  # binding -> (box points, f, g)
         all_rows, all_rhs, margins = [], [], []
         for spec in cfg.constraints:
-            model = self.models[spec.binding]
             bnd = self.bounds[spec.binding]
+            if spec.binding not in at_box:
+                at_box[spec.binding] = _box_and_model(
+                    self.models[spec.binding], self._state_for(spec, s), bnd, cfg.robust,
+                    cfg.vertex_budget,
+                )
             gamma = cfg.gamma
             if spec.binding == "full" and cfg.gamma_behavioral is not None:
                 gamma = cfg.gamma_behavioral
-            rows, rhs, b = robustify_over_state_box(
-                spec.barrier, model, self._state_for(spec, s), bnd, gamma,
-                robust=cfg.robust, per_dim=cfg.per_dim, vertex_budget=cfg.vertex_budget,
-            )
+            rows, rhs, b = _rows_at(spec.barrier, *at_box[spec.binding], bnd, gamma,
+                                    cfg.robust, cfg.per_dim)
             if spec.binding == "position":
                 padded = np.zeros((rows.shape[0], n_action))
                 padded[:, list(cfg.lin_action_dims)] = rows
@@ -215,7 +236,14 @@ class SafetyShield:
 
     def filter(self, a_des, s) -> FilterReport:
         """Solve min ||a - a_des||^2 subject to all robust CBF rows and the
-        action box (P = I, q = -a_des in standard form)."""
+        action box (P = I, q = -a_des in standard form).
+
+        When the rows admit no action in the box, the shared-slack relaxation
+        gives the action, and a slack above 1e-6 marks the step infeasible.
+        When the relaxation does not solve either (e.g. an empty action box),
+        a_safe is the fallback np.clip(0, lb, ub), the zero (hold-position)
+        velocity clipped to the box, and the report has infeasible=True,
+        fallback=True and a nan slack."""
         t0 = time.perf_counter()
         a_des = np.asarray(a_des, dtype=np.float64)
         s = np.asarray(s, dtype=np.float64)
@@ -231,14 +259,21 @@ class SafetyShield:
             ub=self.config.ub,
         )
         sol = qp.solve_with_slack(problem, penalty=self.config.slack_penalty)
+        fallback = sol.status != "optimal"
+        a_safe = sol.a
+        if fallback:
+            lb, ub = self.config.lb, self.config.ub
+            a_safe = np.clip(np.zeros_like(a_des), -np.inf if lb is None else lb,
+                             np.inf if ub is None else ub)
         return FilterReport(
-            a_safe=sol.a,
-            intervened=bool(np.linalg.norm(sol.a - a_des) > 1e-9),
+            a_safe=a_safe,
+            intervened=bool(np.linalg.norm(a_safe - a_des) > 1e-9),
             margins=margins,
             worst_margin=float(margins.min()),
             slack_used=sol.slack_used,
             solve_time=time.perf_counter() - t0,
-            infeasible=sol.status != "optimal" or sol.slack_used > 1e-6,
+            infeasible=fallback or sol.slack_used > 1e-6,
+            fallback=fallback,
         )
 
 

@@ -180,7 +180,8 @@ class EpisodeResult:
     steps: int
     wall_time: float
     inference_time_ms: float
-    slack_events: int = 0
+    slack_events: int = 0     # steps the shield met only with slack
+    fallback_events: int = 0  # steps where even the relaxation failed (fallback action)
     aborted: bool = False
 
 
@@ -234,6 +235,7 @@ def run_episode(policy, env_cfg: EnvConfig, seed: int, shield=None,
     success_at = None
     infer_total = 0.0
     slack_events = 0
+    fallback_events = 0
     aborted = False
     steps_run = 0
 
@@ -250,7 +252,9 @@ def run_episode(policy, env_cfg: EnvConfig, seed: int, shield=None,
             slack[t] = report.slack_used
             solve_us[t] = report.solve_time * 1e6
             filter_margins[t] = report.margins
-            if report.infeasible:
+            if report.fallback:
+                fallback_events += 1
+            elif report.infeasible:
                 slack_events += 1
         else:
             a = a_des
@@ -269,11 +273,10 @@ def run_episode(policy, env_cfg: EnvConfig, seed: int, shield=None,
     success = success_at is not None and not aborted
     collided = bool(zones) and bool((margins[: steps_run + 1] < 0.0).any())
     min_margin = float(margins[: steps_run + 1].min()) if zones else float("nan")
-    if path is not None:
+    if path is not None and steps_run:
         tracking = float(
-            np.mean([path.distance_to(states[t][: path.waypoints.shape[1]])
-                     for t in range(1, steps_run + 1)])
-        ) if steps_run else float("nan")
+            path.distance_to(states[1 : steps_run + 1, : path.waypoints.shape[1]]).mean()
+        )
     else:
         tracking = float("nan")
 
@@ -286,6 +289,7 @@ def run_episode(policy, env_cfg: EnvConfig, seed: int, shield=None,
         wall_time=time.perf_counter() - t_start,
         inference_time_ms=1e3 * infer_total / max(1, steps_run),
         slack_events=slack_events,
+        fallback_events=fallback_events,
         aborted=aborted,
     )
     log = TrajectoryLog(
@@ -329,8 +333,10 @@ def compute_metrics(results_by_seed: dict[int, list[EpisodeResult]],
                     bounds: dict | None = None) -> dict:
     """Mean and std over seeds of the per-seed episode averages.
 
-    Keys follow the evaluation-table metric names. `bounds` (optional) adds
-    the model-level derivative/state error entries.
+    Keys follow the evaluation-table metric names, plus the episode count and
+    the total shield steps that needed slack (`slack_events`) or fell back to
+    the hold action (`fallback_events`). `bounds` (optional) adds the
+    model-level derivative/state error entries.
     """
     if not results_by_seed or not any(results_by_seed.values()):
         raise ValueError("empty batch")
@@ -356,5 +362,8 @@ def compute_metrics(results_by_seed: dict[int, list[EpisodeResult]],
     if bounds is not None:
         summary["sdot_error"] = bounds.get("e_sdot")
         summary["s_error"] = bounds.get("e_s")
-    summary["episodes"] = int(sum(len(v) for v in results_by_seed.values()))
+    results = [r for rs in results_by_seed.values() for r in rs]
+    summary["episodes"] = len(results)
+    summary["slack_events"] = sum(r.slack_events for r in results)
+    summary["fallback_events"] = sum(r.fallback_events for r in results)
     return summary

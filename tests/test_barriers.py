@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier, zone_from_config
+from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier, cross3, zone_from_config
 
 
 def central_diff_grad(fn, x, eps=1e-6):
@@ -298,3 +298,17 @@ class TestBatchedEvaluation:
         b, grad = barrier.value_and_grad_batch(np.array([[0.5, 0.0, 0.0], [0.0, 0.1, 0.0]]))
         assert b == pytest.approx([0.0, 0.24], abs=1e-12)
         assert np.allclose(grad, [[-1.0, 0.0, 0.0], [0.0, -0.2, 0.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)),
+              elements=st.floats(-1.0, 1.0)),
+       arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+       st.integers(-9, 2), st.integers(-9, 2))
+def test_cross3_is_bitwise_np_cross(X, v, ex, ev):
+    # magnitudes from 1e-9 to 1e2, (B, 3) x (3,) in both orders and row by row
+    X, v = X * 10.0**ex, v * 10.0**ev
+    for a, b in ((X, v), (v, X), (X, X[::-1]), (v, v[::-1])):
+        want = np.cross(a, b)
+        got = cross3(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from safectl import qp
 from safectl.control import (
     ClfConfig,
     KnnExpertPolicy,
@@ -15,7 +19,19 @@ from safectl.control import (
     straight_path,
     triangle_path,
 )
-from safectl.dynamics import AffineModel
+from safectl.dynamics import AffineModel, NeuralOdeModel
+
+
+def distance_reference(path, p):
+    """Segment-by-segment distance to the polyline, the loop the batched
+    distance_to replaced."""
+    best = np.inf
+    w = path.waypoints
+    for i in range(len(w) - 1):
+        seg = w[i + 1] - w[i]
+        t = np.clip((p - w[i]) @ seg / (seg @ seg), 0.0, 1.0)
+        best = min(best, float(np.linalg.norm(p - (w[i] + t * seg))))
+    return best
 
 
 class TestReferencePath:
@@ -39,6 +55,24 @@ class TestReferencePath:
         path = straight_path([0.0, 0, 0], [1.0, 0, 0], 5)
         assert path.distance_to([0.5, 0.2, 0.0]) == pytest.approx(0.2, abs=1e-12)
         assert path.distance_to([-0.3, 0.0, 0.0]) == pytest.approx(0.3, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(2, 20), st.integers(1, 4)),
+                  elements=st.floats(-1.0, 1.0)),
+           st.integers(0, 2**32 - 1), st.integers(1, 60))
+    def test_batched_distance_matches_per_point_loop(self, waypoints, seed, n_points):
+        if np.any(np.linalg.norm(np.diff(waypoints, axis=0), axis=1) == 0.0):
+            waypoints = waypoints + 3.0 * np.arange(waypoints.shape[0])[:, None]  # distinct
+        path = ReferencePath(waypoints)
+        rng = np.random.default_rng(seed)
+        points = np.vstack([rng.uniform(-2.0, 2.0, (n_points, waypoints.shape[1])),
+                            path.waypoints])  # points on the path too
+        got = path.distance_to(points)
+        assert got.shape == (points.shape[0],)
+        for d, p in zip(got, points):
+            assert d == pytest.approx(distance_reference(path, p), rel=1e-12, abs=1e-14)
+        assert path.distance_to(points[0]) == got[0]  # one point: its row, as a float
+        assert isinstance(path.distance_to(points[0]), float)
 
     def test_explicit_waypoints_config(self):
         p = path_from_config({"type": "waypoints", "waypoints": [[0, 0, 0, 0], [1, 0, 0, 0]]}, 4)
@@ -143,6 +177,87 @@ class TestClfAction:
             assert v <= v_prev * 1.05 + 1e-15
             v_prev = v
         assert v_prev < 1e-4
+
+
+def clf_qp_reference(model, s, s_des, cfg):
+    """clf_action as the one-row QP it replaced: the decrease row handed to
+    qp.solve with P = I, q = 0."""
+    s = np.asarray(s, dtype=np.float64)
+    e = s - np.asarray(s_des, dtype=np.float64)
+    v = cfg.c**2 * float(e @ e)
+    grad_v = 2.0 * cfg.c**2 * e
+    f, g = model.drift_and_gain(s)
+    lf_v = float(grad_v @ f)
+    lg_v = grad_v @ g
+    sol = qp.solve(qp.QpProblem(P=np.eye(model.n_action), q=np.zeros(model.n_action),
+                                G=lg_v[None, :], h=np.array([-lf_v - cfg.beta * v])))
+    if sol.status != "optimal":
+        raise UncontrollableError(
+            f"uncontrollable descent direction: |L_gV|={np.linalg.norm(lg_v):.3e}, "
+            f"L_fV+beta*V={lf_v + cfg.beta * v:.3e}"
+        )
+    return sol.a
+
+
+class TestClfClosedFormMatchesQp:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["neural", "affine"]), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 2**32 - 1), st.floats(0.1, 5.0), st.floats(0.1, 50.0),
+           st.booleans())
+    def test_random_models_and_states(self, kind, n_state, n_action, seed, c, beta, at_target):
+        rng = np.random.default_rng(seed)
+        if kind == "neural":
+            model = NeuralOdeModel.create(n_state, n_action, hidden=8, seed=seed % 1000)
+        else:
+            model = AffineModel(A=rng.normal(size=(n_state, n_state)),
+                                B=rng.normal(size=(n_state, n_action)),
+                                c=rng.normal(size=n_state))
+        s = rng.uniform(-1.0, 1.0, n_state)
+        s_des = s.copy() if at_target else rng.uniform(-1.0, 1.0, n_state)
+        cfg = ClfConfig(c=c, beta=beta)
+        want = clf_qp_reference(model, s, s_des, cfg)
+        got = clf_action(model, s, s_des, cfg)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("s,active", [
+        ([1.0, 0.0, 0.0], True),     # projection branch
+        ([0.3, -0.2, 0.1], True),
+        ([0.0, 0.0, 0.0], False),    # at the target: zero action
+    ])
+    def test_both_branches(self, s, active):
+        model = AffineModel(A=0.2 * np.eye(3), B=np.diag([1.0, 0.5, 2.0]))
+        cfg = ClfConfig(c=1.5, beta=4.0)
+        a = clf_action(model, np.array(s), np.zeros(3), cfg)
+        assert np.array_equal(a, clf_qp_reference(model, np.array(s), np.zeros(3), cfg))
+        assert bool(np.any(a != 0.0)) == active
+
+    def test_violation_exactly_at_feasibility_tolerance(self):
+        # integrator, e = (1, 0, 0), c = 1: h = -beta exactly, so beta = FEAS_TOL
+        # sits on the tolerance (zero action) and the next float above leaves it
+        model = AffineModel.integrator(3)
+        s, s_des = np.array([1.0, 0.0, 0.0]), np.zeros(3)
+        at = ClfConfig(c=1.0, beta=qp.FEAS_TOL)
+        above = ClfConfig(c=1.0, beta=float(np.nextafter(qp.FEAS_TOL, 1.0)))
+        a_at, a_above = clf_action(model, s, s_des, at), clf_action(model, s, s_des, above)
+        assert np.array_equal(a_at, np.zeros(3))
+        assert np.array_equal(a_at, clf_qp_reference(model, s, s_des, at))
+        assert a_above[0] < 0.0
+        assert np.array_equal(a_above, clf_qp_reference(model, s, s_des, above))
+
+    @pytest.mark.parametrize("gain,raises", [(0.0, True), (1e-7, True), (1e-5, False)])
+    def test_uncontrollable_raise_and_message_match_qp(self, gain, raises):
+        # |L_gV|^2 = 4 gain^2: 4e-14 is below the dependence tolerance 1e-12
+        model = AffineModel(A=np.eye(2), B=gain * np.eye(2))
+        s, s_des, cfg = np.array([1.0, 0.0]), np.zeros(2), ClfConfig(beta=2.0)
+        if not raises:
+            assert np.array_equal(clf_action(model, s, s_des, cfg),
+                                  clf_qp_reference(model, s, s_des, cfg))
+            return
+        with pytest.raises(UncontrollableError) as got:
+            clf_action(model, s, s_des, cfg)
+        with pytest.raises(UncontrollableError) as want:
+            clf_qp_reference(model, s, s_des, cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestKnnExpert:

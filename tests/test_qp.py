@@ -311,3 +311,84 @@ def test_active_set_refers_to_callers_rows_after_dedupe():
     assert sol.status == "optimal"
     assert np.allclose(sol.a, [0.0, -1.0], atol=1e-12)
     assert sol.active_set == [3]
+
+
+def forbid_row_preparation(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("row preparation reached")
+
+    monkeypatch.setattr(qp, "_dedupe", boom)
+    monkeypatch.setattr(qp.QpProblem, "stacked_rows", boom)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("identity", [True, False])
+def test_feasible_unconstrained_minimum_exits_before_row_preparation(monkeypatch, k, identity):
+    rng = np.random.default_rng(10 * k + identity)
+    for _ in range(20):
+        m = int(rng.integers(1, 5))
+        if identity:
+            P = np.eye(m)
+        else:
+            L = rng.normal(size=(m, m))
+            P = L @ L.T + m * np.eye(m)
+            P = 0.5 * (P + P.T)
+        q = rng.uniform(-0.5, 0.5, m)
+        cho = np.linalg.cholesky(P)
+        x0 = np.linalg.solve(cho.T, np.linalg.solve(cho, -q))
+        G = rng.normal(size=(k, m))
+        h = G @ x0 + rng.uniform(0.0, 1.0, k)  # every row holds at the minimiser
+        problem = qp.QpProblem(P=P, q=q, G=G if k else None, h=h if k else None,
+                               lb=x0 - rng.uniform(0.0, 1.0, m), ub=x0 + rng.uniform(0.0, 1.0, m))
+        rows, rhs, _ = problem.stacked_rows()
+        with monkeypatch.context() as mp:
+            forbid_row_preparation(mp)
+            sol = qp.solve(problem)
+        assert np.array_equal(sol.a, x0) and sol.a.tobytes() == x0.tobytes()
+        assert sol.status == "optimal" and sol.active_set == []
+        assert not np.any(sol.multipliers)
+        assert sol.kkt_residual <= qp.KKT_TOL
+        assert sol.kkt_residual == pytest.approx(
+            qp.kkt_residual(P, q, rows, rhs, x0, np.zeros(rows.shape[0])), abs=1e-15)
+        assert sol.objective == 0.5 * float(x0 @ P @ x0) + float(q @ x0)
+
+
+def test_violation_within_feasibility_tolerance_still_exits_early(monkeypatch):
+    # the minimiser 0 violates the row by exactly FEAS_TOL and the box by less
+    problem = qp.QpProblem(P=np.eye(2), q=np.zeros(2), G=[[1.0, 0.0]], h=[-qp.FEAS_TOL],
+                           lb=[0.5e-9, -1.0], ub=[1.0, 1.0])
+    forbid_row_preparation(monkeypatch)
+    sol = qp.solve(problem)
+    assert sol.status == "optimal" and sol.active_set == []
+    assert sol.kkt_residual == qp.FEAS_TOL
+
+
+@pytest.mark.parametrize("G,h,lb,ub,active", [
+    ([[1.0, 0.0]], [-1.0], None, None, [0]),                  # a row is violated
+    (None, None, [0.5, -1.0], [1.0, 1.0], []),                # a lower bound is violated
+    (None, None, [-1.0, -1.0], [1.0, -0.5], []),              # an upper bound is violated
+    ([[1.0, 0.0], [1.0, 0.0]], [-1.0, -1.0], [-2.0, -2.0], [2.0, 2.0], [0]),
+])
+def test_infeasible_start_reaches_dedupe(monkeypatch, G, h, lb, ub, active):
+    calls = []
+    original = qp._dedupe
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(qp, "_dedupe", counting)
+    sol = qp.solve(qp.QpProblem(P=np.eye(2), q=np.zeros(2), G=G, h=h, lb=lb, ub=ub))
+    assert calls == [1]
+    assert sol.status == "optimal" and sol.active_set == active  # box rows are not reported
+    assert sol.kkt_residual <= qp.KKT_TOL
+
+
+def test_nan_start_takes_the_full_path(monkeypatch):
+    # a NaN row fails the feasibility check instead of passing as feasible
+    def reached(*args):
+        raise LookupError("full path")
+
+    monkeypatch.setattr(qp, "_dedupe", reached)
+    with pytest.raises(LookupError, match="full path"):
+        qp.solve(qp.QpProblem(P=np.eye(2), q=np.zeros(2), G=[[np.nan, 0.0]], h=[1.0]))

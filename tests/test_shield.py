@@ -4,7 +4,8 @@ import pytest
 from conftest import zone_on_path
 from safectl import qp
 from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier
-from safectl.dynamics import AffineModel, UncertaintyBounds
+from safectl.dynamics import AffineModel, NeuralOdeModel, UncertaintyBounds
+from safectl.sim import EnvConfig, compute_metrics, run_episode
 from safectl.shield import (
     ConstraintSpec,
     SafetyShield,
@@ -162,6 +163,50 @@ class TestBatchedRowsMatchPerPointReference:
         assert intervened >= 5, "the states never brought the sphere row into play"
 
 
+class TestRowsSharedPerBinding:
+    def test_one_model_call_per_binding_and_rows_bitwise(self, monkeypatch):
+        # two spatial constraints share the position box, one behavioral row
+        # uses the full-state box; gamma_behavioral differs from gamma
+        rng = np.random.default_rng(3)
+        demo_states = rng.uniform(-0.2, 0.4, size=(60, 4))
+        constraints = [
+            ConstraintSpec(SphereZone([0.15, 0.1, 0.05], 0.05), "position"),
+            ConstraintSpec(TaskSpaceBarrier(demo_states, radius=0.3), "full"),
+            ConstraintSpec(CylinderZone([0.1, 0.2, 0.0], [0.2, 0.1, 1.0], 0.03, 0.1), "position"),
+        ]
+        cfg = ShieldConfig(gamma=8.0, gamma_behavioral=3.0, constraints=constraints,
+                           lb=-0.05 * np.ones(4), ub=0.05 * np.ones(4))
+        models = {"position": NeuralOdeModel.create(3, 3, hidden=16, seed=1),
+                  "full": NeuralOdeModel.create(4, 4, hidden=16, seed=2)}
+        bounds = {"position": UncertaintyBounds(e_sdot=0.02, e_s=0.004),
+                  "full": UncertaintyBounds(e_sdot=0.03, e_s=0.006)}
+        shield = SafetyShield(cfg, models=models, bounds=bounds)
+        calls = {}
+        for binding, model in models.items():
+            def counted(S, _model=model, _binding=binding):
+                calls[_binding] = calls.get(_binding, 0) + 1
+                return type(_model).drift_and_gain_batch(_model, S)
+
+            monkeypatch.setattr(model, "drift_and_gain_batch", counted)
+        for s in rng.uniform(-0.1, 0.3, size=(20, 4)):
+            calls.clear()
+            G, h, margins = shield.rows_and_margins(s)
+            assert calls == {"position": 1, "full": 1}
+            G_ref, h_ref, m_ref = [], [], []
+            for spec in constraints:
+                pos = spec.binding == "position"
+                rows, rhs, b = robustify_over_state_box(
+                    spec.barrier, models[spec.binding], s[:3] if pos else s,
+                    bounds[spec.binding], cfg.gamma if pos else cfg.gamma_behavioral)
+                G_ref.append(np.hstack([rows, np.zeros((rows.shape[0], 1))]) if pos else rows)
+                h_ref.append(rhs)
+                m_ref.append(b[0])
+            G_ref, h_ref = np.vstack(G_ref), np.concatenate(h_ref)
+            assert G.shape == (9 + 17 + 9, 4)
+            assert G.tobytes() == G_ref.tobytes() and h.tobytes() == h_ref.tobytes()
+            assert margins.tobytes() == np.array(m_ref).tobytes()
+
+
 class TestStateBoxRobustification:
     @pytest.mark.parametrize("n,budget", [(1, 64), (3, 64), (4, 64), (4, 5), (8, 16), (8, 64)])
     def test_box_vertices_match_corner_enumeration(self, n, budget):
@@ -295,7 +340,7 @@ class TestFilter:
         zone = SphereZone([0.0, 0, 0], 1.0)
         shield = sphere_shield(gamma=50.0, a_box=0.01, zone=zone)
         rep = shield.filter(np.zeros(3), np.array([0.2, 0, 0]))  # deep inside
-        assert rep.infeasible
+        assert rep.infeasible and not rep.fallback
         assert rep.slack_used > 1e-6
         assert np.all(np.abs(rep.a_safe) <= 0.01 + 1e-12)  # box stays hard
 
@@ -307,9 +352,30 @@ class TestFilter:
                            lb=np.array([0.05, -1.0, -1.0]), ub=np.array([-0.05, 1.0, 1.0]))
         shield = SafetyShield(cfg, models={"position": AffineModel.integrator(3)},
                               bounds={"position": ZERO})
-        rep = shield.filter(np.zeros(3), np.array([2.0, 0, 0]))
-        assert rep.infeasible
+        a_des = np.array([0.02, -0.3, 0.4])
+        rep = shield.filter(a_des, np.array([2.0, 0, 0]))
+        assert rep.infeasible and rep.fallback
         assert np.isnan(rep.slack_used)  # no relaxed optimum exists
+        # the documented fallback: the zero (hold) velocity clipped to the box
+        assert np.array_equal(rep.a_safe, np.clip(np.zeros(3), cfg.lb, cfg.ub))
+        assert rep.intervened
+
+        # every step of an episode under this shield falls back, and is
+        # counted apart from slack steps, in the episode and the summary
+        class Hold:
+            def reset(self, seed=None):
+                pass
+
+            def act(self, obs, t):
+                return a_des
+
+        env = EnvConfig(n_state=3, n_action=3, horizon=4, task="reach", goal=np.ones(3),
+                        start=np.array([2.0, 0.0, 0.0]), a_max=1.0)
+        result, log = run_episode(Hold(), env, seed=0, shield=shield)
+        assert result.fallback_events == 4 and result.slack_events == 0
+        assert all(np.array_equal(a, rep.a_safe) for a in log.a_safe)
+        summary = compute_metrics({0: [result, result]})
+        assert summary["fallback_events"] == 8 and summary["slack_events"] == 0
 
     def test_nonfinite_inputs_rejected(self):
         shield = sphere_shield()
