@@ -161,7 +161,7 @@ class TaskSpaceBarrier:
     b(s) = radius^2 - ||s - s_nearest||^2 with s_nearest the closest stored
     state (ties resolve to the lowest index). The gradient treats s_nearest as
     locally constant, which is exact within a Voronoi cell; a cell change
-    between consecutive evaluations can be detected by the returned index.
+    between consecutive evaluations can be detected through nearest().
     """
 
     def __init__(self, demo_states, radius: float = 0.5):
@@ -210,25 +210,14 @@ class TaskSpaceBarrier:
         return _single(self, s)
 
     def value_and_grad_batch(self, S):
-        b, grad, _ = self.eval_batch(S)
-        return b, grad
-
-    def hard_value(self, s) -> float:
-        return self.value(s)
-
-    def eval(self, s):
-        """Returns (b, grad, s_nearest)."""
-        b, grad, idx = self.eval_batch(np.asarray(s, dtype=np.float64)[None, :])
-        return float(b[0]), grad[0], self.states[idx[0]]
-
-    def eval_batch(self, S):
-        """Returns (b (B,), grad (B, n), nearest index (B,)) for S (B, n)."""
         S = np.asarray(S, dtype=np.float64)
         if S.shape[1] != self.dim:
             raise ValueError(f"state dim {S.shape[1]} != barrier dim {self.dim}")
-        idx = self.nearest_batch(S)
-        d = S - self.states[idx]
-        return self.radius**2 - np.einsum("ij,ij->i", d, d), -2.0 * d, idx
+        d = S - self.states[self.nearest_batch(S)]
+        return self.radius**2 - np.einsum("ij,ij->i", d, d), -2.0 * d
+
+    def hard_value(self, s) -> float:
+        return self.value(s)
 
 
 def zone_from_config(cfg: dict):

@@ -5,6 +5,10 @@ paths are relative to --out. The environment variable SSP_SEED overrides the
 master seed; explicit flags override config-file values which override
 defaults. Exit codes: 0 success, 2 config error, 3 missing dependency,
 4 threshold failure.
+
+gen-demos, run and sweep roll episodes through one loop, `_episodes`: episode
+i of seed group g runs on seed (master, g, i), against the config's reference
+path when it has one.
 """
 
 from __future__ import annotations
@@ -20,9 +24,7 @@ import numpy as np
 from . import config as cfgmod
 from . import dynamics as dyn
 from .config import ConfigError
-from .control import ClfConfig
-from .sim import ClfPolicy, compute_metrics, run_episode
-from .sim import demo_from_log as sim_demo
+from .sim import compute_metrics, run_episode
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,8 +86,13 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _episode_seed(master: int, seed_group: int, index: int) -> tuple:
-    return (master, seed_group, index)
+def _episodes(policy, env_cfg, master: int, groups, n: int, shield=None, path=None):
+    """Roll n episodes per seed group, in order: episode i of group g runs on
+    seed (master, g, i). Yields (g, i, EpisodeResult, TrajectoryLog)."""
+    for g in groups:
+        for i in range(n):
+            yield (g, i, *run_episode(policy, env_cfg, seed=(master, g, i), shield=shield,
+                                      path=path))
 
 
 def _split_from_cfg(cfg, demos):
@@ -105,11 +112,10 @@ def cmd_gen_demos(args) -> int:
     demos = []
     failures = 0
     policy, _ = cfgmod.build_policy({**cfg, "policy": {**cfg["policy"], "type": "scripted"}})
-    for i in range(n):
-        result, log = run_episode(policy, env_cfg, seed=_episode_seed(cfg["seed"], 0, i))
-        if not result.success:
-            failures += 1
-        demos.append(sim_demo(log, env_cfg.dt))
+    for _, _, result, log in _episodes(policy, env_cfg, cfg["seed"], [0], n,
+                                       path=cfgmod.build_path(cfg)):
+        failures += not result.success
+        demos.append(dyn.Demonstration(states=log.states, actions=log.a_safe, dt=env_cfg.dt))
     dyn.save_demos(out / DEMOS, demos)
     print(f"wrote {len(demos)} demonstrations to {out / DEMOS} "
           f"({n - failures}/{n} reached the goal)")
@@ -153,7 +159,8 @@ def cmd_quantify(args) -> int:
     pos, _ = dyn.NeuralOdeModel.load(_need(out / MODEL_POS, "run train first"))
     _, held = _split_from_cfg(cfg, demos)
     b_full = dyn.quantify_uncertainty(full, held)
-    b_pos = dyn.quantify_uncertainty(pos, dyn.slice_demos(held, (0, 1, 2), (0, 1, 2)))
+    held_pos = dyn.slice_demos(held, dyn.POSITION_DIMS, dyn.POSITION_DIMS)
+    b_pos = dyn.quantify_uncertainty(pos, held_pos)
     _write_json(out / BOUNDS_FULL, b_full.to_dict())
     _write_json(out / BOUNDS_POS, b_pos.to_dict())
     print(f"full:     e_sdot={b_full.e_sdot:.4e} e_s={b_full.e_s:.4e}")
@@ -218,18 +225,12 @@ def cmd_run(args) -> int:
     ep_dir = out / "episodes"
     ep_dir.mkdir(parents=True, exist_ok=True)
     results_by_seed = {}
-    for seed_group in cfg["seeds"]:
-        results = []
-        for i in range(cfg["episodes"]):
-            result, log = run_episode(
-                policy, env_cfg, seed=_episode_seed(cfg["seed"], seed_group, i),
-                shield=shield, path=path,
-            )
-            _write_episode_csv(
-                ep_dir / f"ep{seed_group}_{i:03d}.csv", log, env_cfg.n_state, env_cfg.n_action
-            )
-            results.append(result)
-        results_by_seed[seed_group] = results
+    # a repeated seed group would roll the same episodes again: run it once
+    groups = dict.fromkeys(cfg["seeds"])
+    for g, i, result, log in _episodes(policy, env_cfg, cfg["seed"], groups, cfg["episodes"],
+                                       shield, path):
+        _write_episode_csv(ep_dir / f"ep{g}_{i:03d}.csv", log, env_cfg.n_state, env_cfg.n_action)
+        results_by_seed.setdefault(g, []).append(result)
 
     bounds_payload = None
     if bounds is not None:
@@ -252,56 +253,26 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--values must list at least one number")
 
-    if args.param == "beta":
-        # CLF tracking deviation, shield off
-        demos, models, _ = _load_stack(cfg, out, need_models=True, need_bounds=False)
-        env_cfg = cfgmod.build_env(cfg)
-        path = cfgmod.build_path(cfg)
-        if path is None:
-            raise ConfigError("beta sweep requires policy.path")
-        rows = []
-        for beta in values:
-            clf_cfg = ClfConfig(c=cfg["policy"]["c"], beta=beta,
-                                threshold=cfg["policy"]["advance_threshold"],
-                                exponent=cfg["policy"]["advance_exponent"])
-            policy = ClfPolicy(models["full"], path, clf_cfg)
-            devs = []
-            for seed_group in cfg["seeds"]:
-                for i in range(cfg["episodes"]):
-                    result, _ = run_episode(
-                        policy, env_cfg, seed=_episode_seed(cfg["seed"], seed_group, i), path=path
-                    )
-                    devs.append(result.tracking_dev)
-            rows.append((beta, float(np.mean(devs))))
-        csv_path = out / "sweep_beta.csv"
-        csv_path.write_text(
-            "beta,tracking_dev_m\n"
-            + "\n".join(f"{b!r},{d!r}" for b, d in rows) + "\n"
-        )
-    else:
-        # mean min hard margin under the shield
-        demos, models, bounds = _load_stack(cfg, out, need_models=True, need_bounds=True)
-        env_cfg = cfgmod.build_env(cfg)
-        policy, path = cfgmod.build_policy(cfg, model_full=models["full"], demos=demos)
-        rows = []
-        for gamma in values:
-            cfg_g = json.loads(json.dumps(cfg))
-            cfg_g["shield"]["gamma"] = gamma
-            shield = cfgmod.build_shield(cfg_g, models, bounds, demos=demos)
-            margins = []
-            for seed_group in cfg["seeds"]:
-                for i in range(cfg["episodes"]):
-                    result, _ = run_episode(
-                        policy, env_cfg, seed=_episode_seed(cfg["seed"], seed_group, i),
-                        shield=shield, path=path,
-                    )
-                    margins.append(result.min_margin)
-            rows.append((gamma, float(np.mean(margins))))
-        csv_path = out / "sweep_gamma.csv"
-        csv_path.write_text(
-            "gamma,mean_min_margin\n"
-            + "\n".join(f"{g!r},{m!r}" for g, m in rows) + "\n"
-        )
+    beta = args.param == "beta"
+    demos, models, bounds = _load_stack(cfg, out, need_models=True, need_bounds=not beta)
+    env_cfg = cfgmod.build_env(cfg)
+    rows = []
+    for v in values:
+        cfg_v = json.loads(json.dumps(cfg))
+        if beta:
+            cfg_v["policy"].update(type="clf", beta=v)
+            cfg_v["shield"]["enabled"] = False
+        else:
+            cfg_v["shield"]["gamma"] = v
+        policy, path = cfgmod.build_policy(cfg_v, model_full=models["full"], demos=demos)
+        shield = cfgmod.build_shield(cfg_v, models, bounds, demos=demos)
+        episodes = _episodes(policy, env_cfg, cfg["seed"], cfg["seeds"], cfg["episodes"],
+                             shield, path)
+        metric = [r.tracking_dev if beta else r.min_margin for _, _, r, _ in episodes]
+        rows.append((v, float(np.mean(metric))))
+    csv_path = out / f"sweep_{args.param}.csv"
+    header = "beta,tracking_dev_m" if beta else "gamma,mean_min_margin"
+    csv_path.write_text(header + "\n" + "\n".join(f"{v!r},{m!r}" for v, m in rows) + "\n")
     for v, metric in rows:
         print(f"{args.param}={v:g}: {metric:.6e}")
     print(f"wrote {csv_path}")

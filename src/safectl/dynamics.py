@@ -31,6 +31,10 @@ from .autodiff import (
     save_mlp,
 )
 
+# The position sub-space: the state's position coordinates and the action's
+# linear-velocity block that drives them, the slice spatial constraints use.
+POSITION_DIMS = (0, 1, 2)
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int):
@@ -229,13 +233,6 @@ class Demonstration:
     def __len__(self) -> int:
         return self.actions.shape[0]
 
-    def check_plausible(self, a_max: float, slack: float = 1e-6):
-        """Consecutive states must move no faster than the actuators allow."""
-        step = np.abs(np.diff(self.states, axis=0)).max()
-        bound = a_max * self.dt + slack
-        if step > bound:
-            raise ValueError(f"state jump {step:.3g} exceeds a_max*dt+slack={bound:.3g}")
-
 
 def save_demos(path, demos: list[Demonstration]):
     """JSON-lines, one trajectory per line (deterministic float repr)."""
@@ -418,23 +415,19 @@ def derive_position_model(
     model: NeuralOdeModel,
     demos: list[Demonstration],
     cfg: TrainConfig,
-    state_dims=(0, 1, 2),
-    action_dims=(0, 1, 2),
 ):
     """Train the position-substate model used by spatial constraints.
 
-    Slices each demonstration to (state_dims, action_dims) and trains a fresh
-    model of that size with the same configuration. Requires the full state to
-    actually contain the requested substate.
+    Slices each demonstration to POSITION_DIMS in both state and action and
+    trains a fresh model of that size with the same configuration. Requires
+    the full state and action to contain that sub-space.
     """
-    if model.n_state < len(state_dims) or max(state_dims) >= model.n_state:
+    if max(POSITION_DIMS) >= min(model.n_state, model.n_action):
         raise ValueError("position substate not configured for this model")
-    if max(action_dims) >= model.n_action:
-        raise ValueError("linear-velocity substate not configured for this model")
-    sliced = slice_demos(demos, state_dims, action_dims)
+    sliced = slice_demos(demos, POSITION_DIMS, POSITION_DIMS)
     sub = NeuralOdeModel.create(
-        n_state=len(state_dims),
-        n_action=len(action_dims),
+        n_state=len(POSITION_DIMS),
+        n_action=len(POSITION_DIMS),
         hidden=model.hidden,
         dt=model.dt,
         seed=model.params.seed,

@@ -93,7 +93,7 @@ class QpSolution:
     a: np.ndarray
     objective: float
     active_set: list[int]
-    status: str  # optimal | infeasible | max_iter
+    status: str  # optimal | infeasible | max_iter | nan (a row's violation was NaN)
     slack_used: float = 0.0
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
     kkt_residual: float = float("nan")
@@ -122,8 +122,9 @@ def _dedupe(G: np.ndarray, h: np.ndarray, origin: np.ndarray):
 def solve(problem: QpProblem, max_iter: int = 500) -> QpSolution:
     """Solve the QP; P must be positive definite (P = I in all callers here).
 
-    Returns status "infeasible" when the inequalities admit no point, leaving
-    the fallback to the caller.
+    Returns status "infeasible" when the inequalities admit no point, and
+    "nan" when a stacked row gives a NaN violation (a NaN in G, h or q),
+    leaving the fallback to the caller in both cases.
 
     The first iterate is the unconstrained minimum -P^{-1}q. When it violates
     no row and no bound by more than FEAS_TOL it is returned at once as
@@ -154,16 +155,18 @@ def solve(problem: QpProblem, max_iter: int = 500) -> QpSolution:
 
     G, h, origin = problem.stacked_rows()
     G, h, origin = _dedupe(G, h, origin)
-    k_rows = G.shape[0]
 
     active: list[int] = []
     lam = np.zeros(0)
 
     for _ in range(max_iter):
-        viol = G @ x - h if k_rows else np.zeros(0)
-        if viol.size == 0 or viol.max() <= FEAS_TOL:
+        viol = G @ x - h
+        worst = viol.max(initial=-np.inf)
+        if worst <= FEAS_TOL:
             return _finish(problem, G, h, origin, x, active, lam, "optimal")
-        p = int(np.flatnonzero(viol >= viol.max() - 1e-14)[0])
+        if np.isnan(worst):
+            return _finish(problem, G, h, origin, x, active, lam, "nan")
+        p = int(np.flatnonzero(viol >= worst - 1e-14)[0])
         gp = G[p]
         lam_p = 0.0
 

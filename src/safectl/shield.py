@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import qp
-from .dynamics import NeuralOdeModel, UncertaintyBounds
+from .dynamics import POSITION_DIMS, NeuralOdeModel, UncertaintyBounds
 
 
 @dataclass
@@ -66,8 +66,6 @@ class ShieldConfig:
     ub: np.ndarray | None = None
     slack_penalty: float = 1e6
     gamma_behavioral: float | None = None  # defaults to gamma
-    pos_state_dims: tuple = (0, 1, 2)
-    lin_action_dims: tuple = (0, 1, 2)
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -183,7 +181,7 @@ class SafetyShield:
 
     def _state_for(self, spec: ConstraintSpec, s: np.ndarray) -> np.ndarray:
         if spec.binding == "position":
-            return s[list(self.config.pos_state_dims)]
+            return s[list(POSITION_DIMS)]
         return s
 
     def constraint_rows(self, s):
@@ -201,9 +199,7 @@ class SafetyShield:
         box points and their model evaluation built once per binding."""
         cfg = self.config
         s = np.asarray(s, dtype=np.float64)
-        n_action = self.models["full"].n_action if "full" in self.models else (
-            max(cfg.lin_action_dims) + 1
-        )
+        n_action = self.models["full"].n_action if "full" in self.models else len(POSITION_DIMS)
         at_box = {}  # binding -> (box points, f, g)
         all_rows, all_rhs, margins = [], [], []
         for spec in cfg.constraints:
@@ -220,7 +216,7 @@ class SafetyShield:
                                     cfg.robust, cfg.per_dim)
             if spec.binding == "position":
                 padded = np.zeros((rows.shape[0], n_action))
-                padded[:, list(cfg.lin_action_dims)] = rows
+                padded[:, list(POSITION_DIMS)] = rows
                 rows = padded
             all_rows.append(rows)
             all_rhs.append(rhs)
@@ -276,19 +272,3 @@ class SafetyShield:
             fallback=fallback,
         )
 
-
-def check_invariance(states, constraints: list[ConstraintSpec],
-                     pos_state_dims=(0, 1, 2)):
-    """Hard-max margin series along a logged trajectory.
-
-    Uses each barrier's non-smoothed value so smoothing slack cannot hide a
-    violation. Returns (margins (T, k), violated) with violated true iff any
-    margin drops below zero.
-    """
-    states = np.asarray(states, dtype=np.float64)
-    margins = np.empty((states.shape[0], len(constraints)))
-    for j, spec in enumerate(constraints):
-        dims = list(pos_state_dims) if spec.binding == "position" else slice(None)
-        for t, s in enumerate(states):
-            margins[t, j] = spec.barrier.hard_value(s[dims])
-    return margins, bool((margins < 0.0).any())

@@ -25,7 +25,7 @@ from .control import (
     WaypointTracker,
     clf_action,
 )
-from .dynamics import Demonstration, _step_rk4
+from .dynamics import _step_rk4
 
 
 @dataclass
@@ -320,10 +320,6 @@ def _task_success(env: KinematicEnv, cfg: EnvConfig, path) -> bool:
         final = path.waypoints[-1][:3]
         return np.linalg.norm(pos - final) <= cfg.goal_tol
     raise ValueError(f"unknown task {cfg.task!r}")
-
-
-def demo_from_log(log: TrajectoryLog, dt: float) -> Demonstration:
-    return Demonstration(states=log.states, actions=log.a_safe, dt=dt)
 
 
 # -- batch metrics ---------------------------------------------------------------

@@ -78,7 +78,8 @@ def default_stack() -> Stack:
         pos=pos,
         full_untrained=untrained,
         bounds_full=dyn.quantify_uncertainty(full, held),
-        bounds_pos=dyn.quantify_uncertainty(pos, dyn.slice_demos(held, (0, 1, 2), (0, 1, 2))),
+        bounds_pos=dyn.quantify_uncertainty(
+            pos, dyn.slice_demos(held, dyn.POSITION_DIMS, dyn.POSITION_DIMS)),
         losses_full=losses,
         train_seconds=train_seconds,
     )

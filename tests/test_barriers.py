@@ -117,9 +117,9 @@ class TestTaskSpace:
     def test_value_at_demo_state_is_radius_squared(self):
         states = np.array([[0.0, 0, 0, 0], [1.0, 1, 1, 1]])
         barrier = TaskSpaceBarrier(states, radius=0.5)
-        b, grad, s_min = barrier.eval(np.zeros(4))
+        b, grad = barrier.value_and_grad(np.zeros(4))
         assert b == pytest.approx(0.25, abs=1e-14)
-        assert np.array_equal(s_min, states[0])
+        assert barrier.nearest(np.zeros(4)) == 0
         assert np.allclose(grad, 0.0)
 
     def test_boundary_is_zero(self):
@@ -274,7 +274,8 @@ class TestBatchedEvaluation:
         states[100:110] = states[:10]  # exact duplicate demo states
         barrier = TaskSpaceBarrier(states, radius=0.5)
         X = np.vstack([X, states[100:105]])  # queries sitting on duplicates
-        b, grad, idx = barrier.eval_batch(X)
+        b, grad = barrier.value_and_grad_batch(X)
+        idx = barrier.nearest_batch(X)
         for i, x in enumerate(X):
             b_ref, g_ref, i_ref = task_space_reference(barrier, x)
             assert idx[i] == i_ref

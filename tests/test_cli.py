@@ -1,10 +1,21 @@
+import copy
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from safectl import cli
+from safectl import config as cfgmod
+from safectl import dynamics as dyn
+from safectl.control import ClfConfig
+from safectl.sim import ClfPolicy, compute_metrics, run_episode
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = {
     "version": 1,
@@ -235,3 +246,170 @@ class TestSweepAndReport:
     def test_report_on_empty_dir_exits_3(self, tmp_path):
         proc = run_cli("report", "--out", str(tmp_path / "nothing"))
         assert proc.returncode == 3
+
+
+# -- the shared episode loop against the nested loops it replaced ---------------
+
+ARTIFACTS = ("demos.jsonl", "model_full.bin", "model_pos.bin", "bounds_full.json",
+             "bounds_pos.json")
+
+
+def variant(**changes):
+    """BASE_CONFIG with the given sections updated and seed group 1 listed twice."""
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["seeds"] = [1, 0, 1]
+    for key, value in changes.items():
+        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+    return cfg
+
+
+KNN = variant()
+KNN_PATH = variant(policy={"type": "knn", "path": {"type": "straight"}})
+CLF_PATH = variant(env={"task": "path-follow"},
+                   policy={"type": "clf", "path": {"type": "straight"}})
+
+
+def load_stack(out):
+    demos = dyn.load_demos(out / "demos.jsonl")
+    models = {"full": dyn.NeuralOdeModel.load(out / "model_full.bin")[0],
+              "position": dyn.NeuralOdeModel.load(out / "model_pos.bin")[0]}
+    bounds = {k: dyn.UncertaintyBounds.from_dict(json.loads((out / name).read_text()))
+              for k, name in (("full", "bounds_full.json"), ("position", "bounds_pos.json"))}
+    return demos, models, bounds
+
+
+def old_run(cfg, out, ep_dir):
+    """`run` as a nested loop over seed groups and episodes, written before
+    the commands shared one episode loop; a repeated seed group overwrites
+    the earlier one. Returns the summary and writes the episode CSVs."""
+    demos, models, bounds = load_stack(out)
+    policy, path = cfgmod.build_policy(cfg, model_full=models["full"], demos=demos)
+    shield = cfgmod.build_shield(cfg, models, bounds, demos=demos)
+    env_cfg = cfgmod.build_env(cfg)
+    results_by_seed = {}
+    for seed_group in cfg["seeds"]:
+        results = []
+        for i in range(cfg["episodes"]):
+            result, log = run_episode(policy, env_cfg, seed=(cfg["seed"], seed_group, i),
+                                      shield=shield, path=path)
+            cli._write_episode_csv(ep_dir / f"ep{seed_group}_{i:03d}.csv", log,
+                                   env_cfg.n_state, env_cfg.n_action)
+            results.append(result)
+        results_by_seed[seed_group] = results
+    payload = None
+    if shield is not None:
+        payload = {"e_sdot": bounds["full"].e_sdot, "e_s": bounds["full"].e_s}
+    summary = compute_metrics(results_by_seed, bounds=payload)
+    summary["policy"] = cfg["policy"]["type"]
+    summary["shield"] = cfg["shield"]["enabled"]
+    return summary
+
+
+def old_sweep(cfg, out, param, values):
+    """The beta and gamma branches of `sweep` as they were written before
+    the shared loop; returns the CSV text."""
+    demos, models, bounds = load_stack(out)
+    env_cfg = cfgmod.build_env(cfg)
+    rows = []
+    if param == "beta":
+        path = cfgmod.build_path(cfg)
+        for beta in values:
+            p = cfg["policy"]
+            policy = ClfPolicy(models["full"], path,
+                               ClfConfig(c=p["c"], beta=beta, threshold=p["advance_threshold"],
+                                         exponent=p["advance_exponent"]))
+            devs = [run_episode(policy, env_cfg, seed=(cfg["seed"], g, i), path=path)[0]
+                    .tracking_dev for g in cfg["seeds"] for i in range(cfg["episodes"])]
+            rows.append((beta, float(np.mean(devs))))
+        header = "beta,tracking_dev_m"
+    else:
+        policy, path = cfgmod.build_policy(cfg, model_full=models["full"], demos=demos)
+        for gamma in values:
+            cfg_g = json.loads(json.dumps(cfg))
+            cfg_g["shield"]["gamma"] = gamma
+            shield = cfgmod.build_shield(cfg_g, models, bounds, demos=demos)
+            margins = [run_episode(policy, env_cfg, seed=(cfg["seed"], g, i), shield=shield,
+                                   path=path)[0].min_margin
+                       for g in cfg["seeds"] for i in range(cfg["episodes"])]
+            rows.append((gamma, float(np.mean(margins))))
+        header = "gamma,mean_min_margin"
+    return header + "\n" + "\n".join(f"{v!r},{m!r}" for v, m in rows) + "\n"
+
+
+def without_timing_column(text):
+    return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+
+@pytest.fixture
+def staged(workdir, tmp_path):
+    """A fresh --out holding the shared run's demos, models and bounds."""
+    _, _, src = workdir
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ARTIFACTS:
+        shutil.copyfile(src / name, out / name)
+
+    def write_config(cfg):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    return out, write_config
+
+
+class TestEpisodeLoop:
+    @pytest.mark.parametrize("cfg,shield", [(KNN, "on"), (KNN, "off"), (CLF_PATH, "on")],
+                             ids=["knn-shielded", "knn-unshielded", "clf-path-shielded"])
+    def test_run_matches_the_nested_loop(self, staged, tmp_path, cfg, shield):
+        out, write_config = staged
+        proc = run_cli("run", "--config", str(write_config(cfg)), "--out", str(out),
+                       "--shield", shield)
+        assert proc.returncode == 0, proc.stderr
+
+        ref_cfg = cfgmod.validate(copy.deepcopy(cfg))
+        ref_cfg["shield"]["enabled"] = shield == "on"
+        ref_dir = tmp_path / "reference"
+        ref_dir.mkdir()
+        expected = old_run(ref_cfg, out, ref_dir)
+        summary = json.loads((out / "summary.json").read_text())
+        for s in (summary, expected):
+            s.pop("inference_time_ms")
+        assert summary == json.loads(json.dumps(expected))
+        # the repeated seed group counts once, as it always has
+        assert summary["episodes"] == 2 * cfg["episodes"]
+
+        names = sorted(p.name for p in ref_dir.iterdir())
+        assert sorted(p.name for p in (out / "episodes").iterdir()) == names
+        for name in names:
+            assert (without_timing_column((out / "episodes" / name).read_text())
+                    == without_timing_column((ref_dir / name).read_text())), name
+
+    @pytest.mark.parametrize("cfg,param,values", [
+        (KNN, "gamma", [2.0, 20.0]),
+        (CLF_PATH, "gamma", [5.0]),
+        (CLF_PATH, "beta", [5.0, 25.0]),
+        (KNN_PATH, "beta", [5.0, 25.0]),
+    ], ids=["knn-gamma", "clf-gamma", "clf-beta", "knn-with-path-beta"])
+    def test_sweep_matches_the_nested_loop(self, staged, cfg, param, values):
+        out, write_config = staged
+        proc = run_cli("sweep", "--config", str(write_config(cfg)), "--out", str(out),
+                       "--param", param, "--values", ",".join(map(str, values)))
+        assert proc.returncode == 0, proc.stderr
+        text = (out / f"sweep_{param}.csv").read_text()
+        assert text == old_sweep(cfgmod.validate(copy.deepcopy(cfg)), out, param, values)
+
+    def test_beta_sweep_on_knn_config_runs_the_clf(self, staged):
+        # a kNN policy would ignore beta and report no tracking deviation
+        out, write_config = staged
+        proc = run_cli("sweep", "--config", str(write_config(KNN_PATH)), "--out", str(out),
+                       "--param", "beta", "--values", "5,25", "--episodes", "1")
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in (out / "sweep_beta.csv").read_text().splitlines()[1:]]
+        devs = [float(d) for _, d in rows]
+        assert all(np.isfinite(devs)) and devs[0] != devs[1]
+
+    def test_gen_demos_judges_path_follow_against_the_path(self, tmp_path):
+        proc = run_cli("gen-demos", "--config", str(ROOT / "configs" / "path_gamma_sweep.json"),
+                       "--out", str(tmp_path / "o"), "--n", "20")
+        assert proc.returncode == 0, proc.stderr
+        assert "(20/20 reached the goal)" in proc.stdout

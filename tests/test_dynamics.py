@@ -102,13 +102,6 @@ class TestDemonstration:
         with pytest.raises(ValueError, match="non-finite"):
             Demonstration(states=np.array([[0.0, np.nan], [0, 0]]), actions=np.zeros((1, 2)), dt=0.1)
 
-    def test_plausibility_bound(self):
-        demo = Demonstration(states=np.array([[0.0], [1.0]]), actions=np.zeros((1, 1)), dt=0.1)
-        with pytest.raises(ValueError, match="exceeds"):
-            demo.check_plausible(a_max=0.5)
-        demo2 = Demonstration(states=np.array([[0.0], [0.04]]), actions=np.zeros((1, 1)), dt=0.1)
-        demo2.check_plausible(a_max=0.5)
-
     def test_jsonl_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         demos = linear_demos(rng, lambda s, a: a, 3, steps=5)

@@ -392,3 +392,16 @@ def test_nan_start_takes_the_full_path(monkeypatch):
     monkeypatch.setattr(qp, "_dedupe", reached)
     with pytest.raises(LookupError, match="full path"):
         qp.solve(qp.QpProblem(P=np.eye(2), q=np.zeros(2), G=[[np.nan, 0.0]], h=[1.0]))
+
+
+@pytest.mark.parametrize("G,h", [
+    ([[np.nan, 0.0]], [1.0]),                 # a NaN coefficient
+    ([[1.0, 0.0]], [np.nan]),                 # a NaN right-hand side
+    ([[1.0, 0.0], [np.nan, 1.0]], [-1.0, 0.0]),  # beside a violated finite row
+])
+def test_nan_row_gives_nan_status_not_an_exception(G, h):
+    problem = qp.QpProblem(P=np.eye(2), q=np.zeros(2), G=G, h=h, lb=-np.ones(2), ub=np.ones(2))
+    assert qp.solve(problem).status == "nan"
+    relaxed = qp.solve_with_slack(problem)
+    assert relaxed.status == "nan"
+    assert np.isnan(relaxed.slack_used)

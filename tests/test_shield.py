@@ -4,7 +4,7 @@ import pytest
 from conftest import zone_on_path
 from safectl import qp
 from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier
-from safectl.dynamics import AffineModel, NeuralOdeModel, UncertaintyBounds
+from safectl.dynamics import POSITION_DIMS, AffineModel, NeuralOdeModel, UncertaintyBounds
 from safectl.sim import EnvConfig, compute_metrics, run_episode
 from safectl.shield import (
     ConstraintSpec,
@@ -12,7 +12,6 @@ from safectl.shield import (
     ShieldConfig,
     box_vertices,
     build_constraint,
-    check_invariance,
     robustify_over_state_box,
 )
 
@@ -103,7 +102,7 @@ def per_point_rows(shield, s):
     for spec in cfg.constraints:
         model, bnd = shield.models[spec.binding], shield.bounds[spec.binding]
         if spec.binding == "position":
-            y0, cols = s[list(cfg.pos_state_dims)], list(cfg.lin_action_dims)
+            y0, cols = s[list(POSITION_DIMS)], list(POSITION_DIMS)
             gamma = cfg.gamma
         else:
             y0, cols = s, list(range(n_action))
@@ -377,6 +376,33 @@ class TestFilter:
         summary = compute_metrics({0: [result, result]})
         assert summary["fallback_events"] == 8 and summary["slack_events"] == 0
 
+    def test_nan_model_falls_back_instead_of_raising(self):
+        # a model whose drift is NaN gives NaN rows: the QP reports status
+        # "nan" and the filter returns its documented fallback step
+        cfg = ShieldConfig(gamma=1.0, constraints=[ConstraintSpec(SphereZone([0.0, 0, 0], 1.0),
+                                                                  "position")],
+                           lb=-np.ones(3), ub=np.ones(3))
+        nan_model = AffineModel(A=np.zeros((3, 3)), B=np.eye(3), c=np.array([np.nan, 0, 0]))
+        shield = SafetyShield(cfg, models={"position": nan_model}, bounds={"position": ZERO})
+        a_des = np.array([-0.5, 0.2, 0.0])
+        rep = shield.filter(a_des, np.array([2.0, 0, 0]))
+        assert rep.fallback and rep.infeasible
+        assert np.isnan(rep.slack_used)
+        assert np.array_equal(rep.a_safe, np.zeros(3))
+        assert rep.margins[0] == pytest.approx(3.0)  # the barrier itself is finite
+
+        class Hold:
+            def reset(self, seed=None):
+                pass
+
+            def act(self, obs, t):
+                return a_des
+
+        env = EnvConfig(n_state=3, n_action=3, horizon=3, task="reach", goal=np.ones(3),
+                        start=np.array([2.0, 0.0, 0.0]), a_max=1.0)
+        result, _ = run_episode(Hold(), env, seed=0, shield=shield)
+        assert result.fallback_events == 3 and not result.aborted
+
     def test_nonfinite_inputs_rejected(self):
         shield = sphere_shield()
         with pytest.raises(ValueError, match="non-finite"):
@@ -399,30 +425,3 @@ class TestFilter:
         assert G[0, 3] == 0.0  # spatial row leaves the yaw column untouched
         assert G[1, 3] != 0.0  # behavioral row acts on it
 
-
-class TestCheckInvariance:
-    def test_all_outside_no_violation(self):
-        zone = SphereZone([0, 0, 0], 0.5)
-        traj = np.linspace([1.0, 0, 0, 0], [1.0, 2.0, 0, 0], 20)
-        margins, violated = check_invariance(traj, [ConstraintSpec(zone, "position")])
-        assert margins.shape == (20, 1)
-        assert (margins > 0).all() and not violated
-
-    def test_line_through_center_min_is_minus_r_squared(self):
-        zone = SphereZone([0, 0, 0], 0.5)
-        traj = np.linspace([-2.0, 0, 0, 0], [2.0, 0, 0, 0], 81)  # passes s = 0
-        margins, violated = check_invariance(traj, [ConstraintSpec(zone, "position")])
-        assert violated
-        assert margins.min() == pytest.approx(-0.25, abs=1e-12)
-
-    def test_hard_values_used_for_cylinders(self):
-        from safectl.barriers import CylinderZone
-
-        zone = CylinderZone([0, 0, 0], [0, 0, 1], 1.0, 2.0)
-        on_boundary = np.array([[1.0, 0.0, 0.0, 0.0]])
-        margins, violated = check_invariance(on_boundary, [ConstraintSpec(zone, "position")])
-        # hard max of (0, -1) is exactly 0: not a violation, while the smooth
-        # value would be negative
-        assert margins[0, 0] == pytest.approx(0.0, abs=1e-12)
-        assert not violated
-        assert zone.value([1.0, 0.0, 0.0]) < 0.0

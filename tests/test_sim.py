@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import GOAL, START, make_demos, reach_env, zone_on_path
+from safectl.barriers import CylinderZone, SphereZone
 from safectl.control import ClfConfig, KnnExpertPolicy, ScriptedExpert, path_from_config
 from safectl.dynamics import AffineModel, integrate
 from safectl.sim import (
@@ -13,6 +14,7 @@ from safectl.sim import (
     ScriptedPolicy,
     compute_metrics,
     run_episode,
+    zone_margins,
 )
 
 
@@ -158,6 +160,36 @@ class TestRunEpisode:
         result, _ = run_episode(Replay(), env, seed=0, path=path)
         assert result.success
         assert result.tracking_dev == pytest.approx(0.0, abs=1e-12)
+
+
+class TestZoneMargins:
+    """The hard-max margins run_episode judges collisions by."""
+
+    @staticmethod
+    def series(zones, traj):
+        return np.array([zone_margins(zones, s[:3]) for s in traj])
+
+    def test_all_outside_no_violation(self):
+        traj = np.linspace([1.0, 0, 0, 0], [1.0, 2.0, 0, 0], 20)
+        margins = self.series([SphereZone([0, 0, 0], 0.5)], traj)
+        assert margins.shape == (20, 1)
+        assert (margins > 0).all()
+
+    def test_line_through_center_min_is_minus_r_squared(self):
+        traj = np.linspace([-2.0, 0, 0, 0], [2.0, 0, 0, 0], 81)  # passes s = 0
+        margins = self.series([SphereZone([0, 0, 0], 0.5)], traj)
+        assert margins.min() == pytest.approx(-0.25, abs=1e-12)
+
+    def test_hard_values_used_for_cylinders(self):
+        zone = CylinderZone([0, 0, 0], [0, 0, 1], 1.0, 2.0)
+        margins = zone_margins([zone], np.array([1.0, 0.0, 0.0]))
+        # hard max of (0, -1) is exactly 0: not a violation, while the smooth
+        # value would be negative
+        assert margins[0] == pytest.approx(0.0, abs=1e-12)
+        assert zone.value([1.0, 0.0, 0.0]) < 0.0
+
+    def test_no_zones_no_margins(self):
+        assert zone_margins([], np.zeros(3)).shape == (0,)
 
 
 class TestMetrics:
