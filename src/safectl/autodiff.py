@@ -1,10 +1,16 @@
-"""Reverse-mode automatic differentiation on a flat tape, sized for small MLPs.
+"""The one-hidden-layer GELU MLP, its serialization, and a reverse-mode tape.
 
 Values are float64 numpy arrays throughout (scalars are 0-d arrays). A Tape
 records operations in construction order; backward() walks the node list in
 reverse exactly once, accumulating vector-Jacobian products. Node values may
 carry a trailing batch dimension, so one tape can differentiate a whole
 minibatch rollout at once.
+
+Training no longer runs on the tape: dynamics._rollout_loss_and_grad computes
+the rollout gradient in one fused pass with the same float64 operations. The
+tape stays as the tests' oracle for that gradient and because the benchmark
+tracer wraps dynamics' imported name `backward`; it goes once the tracer no
+longer needs that name.
 
 Conventions fixed here and pinned by the tests:
 - GELU is the tanh approximation, with its exact analytic derivative.
@@ -29,12 +35,32 @@ class DimensionError(ValueError):
 
 def gelu_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tanh-approximate GELU 0.5*x*(1 + tanh(c*(x + a*x^3))) and its exact
-    analytic derivative, sharing the single tanh evaluation."""
+    analytic derivative, sharing the single tanh evaluation.
+
+    x is a float64 array of any shape but 0-d. The derivative is
+    0.5*(1 + t) + 0.5*x*(1 - t^2)*c*(1 + 3*a*x^2) with t the tanh; 1 + t and
+    0.5*x are formed once and temporaries are reused in place, each product
+    in the operand order of that expression written out left to right, so
+    every element rounds as in the unfused expression."""
     x2 = x * x
-    t = np.tanh(GELU_C * x * (1.0 + GELU_A * x2))
-    val = 0.5 * x * (1.0 + t)
-    grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x2)
-    return val, grad
+    t = GELU_A * x2
+    t += 1.0
+    cx = GELU_C * x
+    t *= cx
+    np.tanh(t, out=t)
+    half_x = np.multiply(x, 0.5, out=cx)
+    one_t = 1.0 + t
+    val = half_x * one_t
+    t *= t
+    np.subtract(1.0, t, out=t)
+    t *= half_x
+    t *= GELU_C
+    x2 *= 3.0 * GELU_A
+    x2 += 1.0
+    t *= x2
+    one_t *= 0.5
+    one_t += t
+    return val, one_t
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

@@ -111,9 +111,8 @@ def cmd_gen_demos(args) -> int:
     env_cfg = cfgmod.build_env(cfg, with_zones=False)
     demos = []
     failures = 0
-    policy, _ = cfgmod.build_policy({**cfg, "policy": {**cfg["policy"], "type": "scripted"}})
-    for _, _, result, log in _episodes(policy, env_cfg, cfg["seed"], [0], n,
-                                       path=cfgmod.build_path(cfg)):
+    policy, path = cfgmod.build_policy({**cfg, "policy": {**cfg["policy"], "type": "scripted"}})
+    for _, _, result, log in _episodes(policy, env_cfg, cfg["seed"], [0], n, path=path):
         failures += not result.success
         demos.append(dyn.Demonstration(states=log.states, actions=log.a_safe, dt=env_cfg.dt))
     dyn.save_demos(out / DEMOS, demos)

@@ -347,17 +347,17 @@ def build_expert(cfg: dict) -> ScriptedExpert:
 def build_policy(cfg: dict, model_full=None, demos=None):
     """Nominal policy per config; returns (policy, path or None)."""
     kind = cfg["policy"]["type"]
+    path = build_path(cfg)
     if kind == "scripted":
-        return ScriptedPolicy(build_expert(cfg)), None
+        return ScriptedPolicy(build_expert(cfg)), path
     if kind == "knn":
         if not demos:
             raise ConfigError("knn policy requires demonstrations")
         expert = KnnExpertPolicy.from_demos(demos, cfg["policy"]["knn_neighbors"])
-        return KnnPolicy(expert), None
+        return KnnPolicy(expert), path
     if kind == "clf":
         if model_full is None:
             raise ConfigError("clf policy requires the trained full-state model")
-        path = build_path(cfg)
         if path is None:
             raise ConfigError("clf policy requires policy.path")
         clf_cfg = ClfConfig(

@@ -3,7 +3,10 @@
 One MLP maps the state to [drift; gain rows] (n_state * (1 + n_action)
 outputs). Training minimises the mean L1 error of multi-step rollouts against
 demonstration segments, differentiating straight through the fixed-step
-integrator on the autodiff tape. Uncertainty is quantified on held-out
+integrator: _rollout_loss_and_grad is one fused forward pass and one
+vector-Jacobian pass over the discrete rollout, whose loss and gradients
+equal reverse-mode autodiff's (the autodiff tape, now the tests' oracle) bit
+for bit. Uncertainty is quantified on held-out
 transitions as worst-case L1 errors of the predicted derivative and of the
 one-step integration, which the safety filter consumes as robustness budgets.
 Those errors are evaluated one demonstration at a time, all of its
@@ -20,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (
+from .autodiff import (  # noqa: F401 (backward: the benchmark tracer wraps this name)
     MlpParams,
-    Tape,
-    TapedMlp,
     backward,
     forward_mlp,
+    gelu_value_grad,
     init_mlp,
     load_mlp,
     save_mlp,
@@ -315,25 +317,104 @@ class TrainConfig:
     steps_per_epoch: int | None = None
 
 
-def _taped_rollout(tape, mlp, s0_batch, action_batch, dt, n_state, method):
-    """One integrator step for a batch of states on the tape.
+def _rollout_loss_and_grad(params: MlpParams, s_batch, a_batch, dt, n_state, method):
+    """Mean L1 rollout loss of a batch and its gradient [g_w1, g_b1, g_w2, g_b2].
 
-    s0_batch (n, B), action_batch (m, B) held constant over the step.
+    s_batch (h+1, n, B) holds the true states and a_batch (h, m, B) the
+    actions, each held constant over its step; predictions feed forward from
+    s_batch[0]. One forward pass keeps every field call's input, hidden
+    activation and GELU derivative, and one reverse pass forms the
+    vector-Jacobian products of the discrete rollout (discretise, then
+    optimise). Every float64 operation is the one reverse-mode autodiff over
+    the same rollout performs, in the same order and on C-contiguous arrays,
+    so the loss and gradients equal autodiff's bit for bit. Returns
+    (loss, None) when the loss is not finite; raises ValueError when a
+    parameter or a true state is not finite.
     """
+    w1, b1, w2, b2 = params.arrays()
+    for arr in (w1, b1, w2, b2, s_batch):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("non-finite value entering the tape")
+    n, (h, m, batch) = n_state, a_batch.shape
+    b1c, b2c = b1[:, None], b2[:, None]
+    half, sixth = float(0.5 * dt), float(dt / 6.0)
+    calls = []  # (x, hidden activation, GELU derivative, action) per field call
 
-    def field(s_node, a):
-        return tape.affine_field(mlp(s_node), a, n_state)
+    def field(x, a):
+        act, dact = gelu_value_grad(w1 @ x + b1c)
+        out = w2 @ act + b2c
+        calls.append((x, act, dact, a))
+        return out[:n] + np.einsum("ijb,jb->ib", out[n:].reshape(n, m, -1), a)
 
-    s = s0_batch
-    if method == "euler":
-        k1 = field(s, action_batch)
-        return tape.add(s, tape.scale(k1, dt))
-    k1 = field(s, action_batch)
-    k2 = field(tape.add(s, tape.scale(k1, 0.5 * dt)), action_batch)
-    k3 = field(tape.add(s, tape.scale(k2, 0.5 * dt)), action_batch)
-    k4 = field(tape.add(s, tape.scale(k3, dt)), action_batch)
-    incr = tape.add(tape.add(k1, tape.scale(tape.add(k2, k3), 2.0)), k4)
-    return tape.add(s, tape.scale(incr, dt / 6.0))
+    s, errs, loss = s_batch[0], [], None
+    for t in range(h):
+        a = a_batch[t]
+        k1 = field(s, a)
+        if method == "euler":
+            s = s + k1 * dt
+        else:
+            k2 = field(s + k1 * half, a)
+            k3 = field(s + k2 * half, a)
+            k4 = field(s + k3 * dt, a)
+            # the tape's grouping, which rounds apart from _step_rk4's
+            s = s + ((k1 + (k2 + k3) * 2.0) + k4) * sixth
+        err = s - s_batch[t + 1]
+        term = np.abs(err).sum()
+        loss = term if loss is None else loss + term
+        errs.append(err)
+    scale = 1.0 / (batch * h)
+    loss = float(loss * scale)
+    if not np.isfinite(loss):
+        return loss, None
+
+    acc = [None, None, None, None]  # w1, b1, w2, b2
+
+    def add(i, g):
+        if acc[i] is None:
+            acc[i] = g
+        else:
+            acc[i] += g
+
+    def field_vjp(g_k, need_x):
+        """Adjoint of the last field call not yet reversed, given its output
+        adjoint g_k; returns the adjoint of its input x when need_x."""
+        x, act, dact, a = calls.pop()
+        g_out = np.empty((n * (1 + m), batch))
+        g_out[:n] = g_k
+        g_out[n:] = (g_k[:, None, :] * a[None, :, :]).reshape(n * m, -1)
+        add(3, g_out.sum(axis=1))
+        add(2, g_out @ act.T)
+        g_pre = (w2.T @ g_out) * dact
+        add(1, g_pre.sum(axis=1))
+        add(0, g_pre @ x.T)
+        return w1.T @ g_pre if need_x else None
+
+    # g_s is the adjoint of the state after step t. The adjoint of the state
+    # before it sums, in the tape's order: g_s, then the x4, x3 and x2 stage
+    # inputs, then the k1 call, then that state's own loss term.
+    g_s = scale * np.sign(errs[-1])
+    for t in reversed(range(h)):
+        if method == "euler":
+            g_x1 = field_vjp(g_s * dt, t > 0)
+            if t:
+                g_s += g_x1
+        else:
+            g_incr = g_s * sixth
+            g_p23 = g_incr * 2.0
+            g_x4 = field_vjp(g_incr, True)
+            g_x3 = field_vjp(g_p23 + g_x4 * dt, True)
+            g_x2 = field_vjp(g_p23 + g_x3 * half, True)
+            g_x1 = field_vjp(g_incr + g_x2 * half, t > 0)
+            if t:
+                g_s += g_x4
+                g_s += g_x3
+                g_s += g_x2
+                g_s += g_x1
+        if t:
+            g_s += scale * np.sign(errs[t - 1])
+    for g in acc:
+        g += 0.0  # the tape sums into zeros, which turns a -0.0 into 0.0
+    return loss, acc
 
 
 def train(model: NeuralOdeModel, demos: list[Demonstration], cfg: TrainConfig):
@@ -353,6 +434,7 @@ def train(model: NeuralOdeModel, demos: list[Demonstration], cfg: TrainConfig):
             raise ValueError(f"trajectory {i} has dt={d.dt}, expected {demos[0].dt}")
     if cfg.optimizer != "rmsprop":
         raise ValueError(f"unsupported optimizer {cfg.optimizer!r}")
+    _stepper(cfg.method)
 
     rng = np.random.default_rng(cfg.seed)
     params = model.params.copy()
@@ -380,21 +462,10 @@ def train(model: NeuralOdeModel, demos: list[Demonstration], cfg: TrainConfig):
                 axis=2,
             )  # (h, m, B)
 
-            tape = Tape()
-            mlp = TapedMlp(tape, params)
-            s = tape.const(s_batch[0])
-            loss_node = None
-            for t in range(h):
-                s = _taped_rollout(tape, mlp, s, a_batch[t], dt, n, cfg.method)
-                err = tape.sum_abs(tape.sub(s, tape.const(s_batch[t + 1])))
-                loss_node = err if loss_node is None else tape.add(loss_node, err)
-            loss_node = tape.scale(loss_node, 1.0 / (b * h))
-            loss = float(loss_node.value)
+            loss, grads = _rollout_loss_and_grad(params, s_batch, a_batch, dt, n, cfg.method)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
-            grads = backward(tape, loss_node)
-            for arr, node, acc in zip(arrs, mlp.param_nodes(), sq_avg):
-                g = grads[node.index]
+            for arr, g, acc in zip(arrs, grads, sq_avg):
                 acc *= cfg.rms_decay
                 acc += (1.0 - cfg.rms_decay) * g * g
                 arr -= cfg.lr * g / (np.sqrt(acc) + cfg.rms_eps)

@@ -67,14 +67,15 @@ class QpProblem:
         return self.q.shape[0]
 
     def stacked_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All inequalities as rows (finite box bounds appended, upper before
-        lower), plus a map from stacked row index to original constraint
-        index (box rows: -1)."""
+        """All inequalities as rows (box bounds appended, upper before lower,
+        infinite ones dropped), plus a map from stacked row index to original
+        constraint index (box rows: -1). A NaN bound stays as a row, so its
+        NaN violation gives the solve status "nan"."""
         m, k = self.dim, self.G.shape[0]
         bound = np.empty(2 * m)  # [ub; lb], a missing side reads as infinite
         bound[:m] = np.inf if self.ub is None else self.ub
         bound[m:] = -np.inf if self.lb is None else self.lb
-        fin = np.isfinite(bound).nonzero()[0]
+        fin = (~np.isinf(bound)).nonzero()[0]
         sign = np.where(fin < m, 1.0, -1.0)
         n = k + fin.size
         rows = np.zeros((n, m))

@@ -244,6 +244,29 @@ def test_criterion_6_gradient_audits():
                 g = grads[pnode.index].ravel()[i]
                 worst = max(worst, abs(fd - g) / max(abs(fd), 1e-8))
 
+    # the fused training gradient: L1 loss of a 2-step rk4 rollout
+    for trial in range(5):
+        p = init_mlp(3, 8, 3 * (1 + 2), seed=trial)
+        s_batch = np.cumsum(rng.normal(size=(3, 3, 4)) * 0.1, axis=0)
+        a_batch = rng.normal(size=(2, 2, 4))
+
+        def rollout_loss():
+            return dyn._rollout_loss_and_grad(p, s_batch, a_batch, 0.1, 3, "rk4")
+
+        _, grads = rollout_loss()
+        eps = 1e-5
+        for arr, grad in zip(p.arrays(), grads):
+            flat = arr.ravel()
+            for i in rng.integers(0, flat.size, size=4):
+                orig = flat[i]
+                flat[i] = orig + eps
+                up = rollout_loss()[0]
+                flat[i] = orig - eps
+                dn = rollout_loss()[0]
+                flat[i] = orig
+                fd = (up - dn) / (2 * eps)
+                worst = max(worst, abs(fd - grad.ravel()[i]) / max(abs(fd), 1e-8))
+
     # analytic barrier gradients
     sphere = SphereZone([0.1, -0.2, 0.3], 0.6)
     cyl = CylinderZone([0, 0, 0], [0, 0, 1], 0.8, 1.5)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from safectl.autodiff import (
+    GELU_A,
+    GELU_C,
     DimensionError,
     MlpParams,
     Tape,
@@ -9,6 +14,7 @@ from safectl.autodiff import (
     backward,
     forward_mlp,
     gelu,
+    gelu_value_grad,
     init_mlp,
     load_mlp,
     save_mlp,
@@ -170,3 +176,39 @@ def test_constant_has_zero_gradient():
     grads = backward(tape, y)
     assert np.array_equal(grads[x.index], np.array([5.0]))
     assert c.index not in grads  # constants carry no gradient entry
+
+
+def gelu_value_grad_unfused(x):
+    """gelu_value_grad as one expression per output, before its temporaries
+    were shared and reused in place."""
+    x2 = x * x
+    t = np.tanh(GELU_C * x * (1.0 + GELU_A * x2))
+    val = 0.5 * x * (1.0 + t)
+    grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x2)
+    return val, grad
+
+
+def assert_gelu_matches_unfused(x):
+    before = x.copy()
+    val, grad = gelu_value_grad(x)
+    ref_val, ref_grad = gelu_value_grad_unfused(x)
+    assert val.tobytes() == ref_val.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert x.tobytes() == before.tobytes()  # the input is not written
+
+
+def test_gelu_value_grad_is_bitwise_the_unfused_expression():
+    # magnitudes 1e-8..1e3 of both signs, signed zeros, and the tails past
+    # |x| ~ 5 where tanh rounds to exactly +-1
+    mags = np.logspace(-8, 3, 221)
+    x = np.concatenate([mags, -mags, [0.0, -0.0, 5.0, -5.0, 19.0, -19.0, 1e3, -1e3]])
+    assert_gelu_matches_unfused(x)
+    assert_gelu_matches_unfused(x.reshape(-1, 3))
+    assert np.all(gelu_value_grad(np.array([30.0, -30.0]))[1] == [1.0, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=12),
+                  elements=st.floats(-1e3, 1e3, allow_nan=False)))
+def test_gelu_value_grad_bitwise_on_random_arrays(x):
+    assert_gelu_matches_unfused(x)

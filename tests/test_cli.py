@@ -384,6 +384,21 @@ class TestEpisodeLoop:
             assert (without_timing_column((out / "episodes" / name).read_text())
                     == without_timing_column((ref_dir / name).read_text())), name
 
+    def test_knn_on_a_path_follow_task_is_scored_at_the_path_end(self, staged):
+        # a straight path ends at the reach goal, so the same kNN episodes
+        # succeed as a path-follow task once the policy's path is passed on
+        out, write_config = staged
+        cfg = write_config(KNN)
+        rates = []
+        for task in ([], ["--set", "env.task=path-follow",
+                          "--set", 'policy.path={"type":"straight"}']):
+            proc = run_cli("run", "--config", str(cfg), "--out", str(out), "--shield", "off",
+                           "--episodes", "2", "--set", "seeds=[0]", *task)
+            assert proc.returncode == 0, proc.stderr
+            summary = json.loads((out / "summary.json").read_text())
+            rates.append(summary["success_rate_with_violation"]["mean"])
+        assert rates == [1.0, 1.0]
+
     @pytest.mark.parametrize("cfg,param,values", [
         (KNN, "gamma", [2.0, 20.0]),
         (CLF_PATH, "gamma", [5.0]),

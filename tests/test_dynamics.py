@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safectl import dynamics as dyn
+from safectl.autodiff import Tape, TapedMlp, backward
 from safectl.dynamics import (
     AffineModel,
     Demonstration,
@@ -423,3 +424,194 @@ class TestModelIo:
         assert header["train_seed"] == 3
         for a, b in zip(model.params.arrays(), loaded.params.arrays()):
             assert np.array_equal(a, b)
+
+
+# -- the taped rollout: the oracle for the fused gradient ------------------------
+
+
+def _taped_rollout(tape, mlp, s0_batch, action_batch, dt, n_state, method):
+    """One integrator step for a batch of states on the tape.
+
+    s0_batch (n, B), action_batch (m, B) held constant over the step.
+    """
+
+    def field(s_node, a):
+        return tape.affine_field(mlp(s_node), a, n_state)
+
+    s = s0_batch
+    if method == "euler":
+        k1 = field(s, action_batch)
+        return tape.add(s, tape.scale(k1, dt))
+    k1 = field(s, action_batch)
+    k2 = field(tape.add(s, tape.scale(k1, 0.5 * dt)), action_batch)
+    k3 = field(tape.add(s, tape.scale(k2, 0.5 * dt)), action_batch)
+    k4 = field(tape.add(s, tape.scale(k3, dt)), action_batch)
+    incr = tape.add(tape.add(k1, tape.scale(tape.add(k2, k3), 2.0)), k4)
+    return tape.add(s, tape.scale(incr, dt / 6.0))
+
+
+def taped_loss_and_grad(params, s_batch, a_batch, dt, n_state, method):
+    """The mean L1 rollout loss and its gradient [w1, b1, w2, b2] on the
+    reverse-mode tape; grads is None when the loss is not finite."""
+    batch, h = s_batch.shape[2], a_batch.shape[0]
+    tape = Tape()
+    mlp = TapedMlp(tape, params)
+    s = tape.const(s_batch[0])
+    loss_node = None
+    for t in range(h):
+        s = _taped_rollout(tape, mlp, s, a_batch[t], dt, n_state, method)
+        err = tape.sum_abs(tape.sub(s, tape.const(s_batch[t + 1])))
+        loss_node = err if loss_node is None else tape.add(loss_node, err)
+    loss_node = tape.scale(loss_node, 1.0 / (batch * h))
+    loss = float(loss_node.value)
+    if not np.isfinite(loss):
+        return loss, None
+    grads = backward(tape, loss_node)
+    return loss, [grads[node.index] for node in mlp.param_nodes()]
+
+
+def taped_train(model, demos, cfg):
+    """dyn.train's sampling and RMSprop loop with the gradient taken on the
+    tape; returns (params, losses)."""
+    rng = np.random.default_rng(cfg.seed)
+    params = model.params.copy()
+    arrs = params.arrays()
+    sq_avg = [np.zeros_like(a) for a in arrs]
+    h, b = cfg.rollout_h, cfg.batch
+    steps = cfg.steps_per_epoch or max(1, round(sum(len(d) for d in demos) / (b * h)))
+    losses = np.empty(cfg.epochs)
+    for epoch in range(cfg.epochs):
+        epoch_loss = 0.0
+        for _ in range(steps):
+            traj_idx = rng.integers(0, len(demos), size=b)
+            starts = np.array([rng.integers(0, len(demos[j].actions) - h + 1) for j in traj_idx])
+            s_batch = np.stack([demos[j].states[k : k + h + 1]
+                                for j, k in zip(traj_idx, starts)], axis=2)
+            a_batch = np.stack([demos[j].actions[k : k + h]
+                                for j, k in zip(traj_idx, starts)], axis=2)
+            loss, grads = taped_loss_and_grad(params, s_batch, a_batch, demos[0].dt,
+                                              model.n_state, cfg.method)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(epoch)
+            for arr, g, acc in zip(arrs, grads, sq_avg):
+                acc *= cfg.rms_decay
+                acc += (1.0 - cfg.rms_decay) * g * g
+                arr -= cfg.lr * g / (np.sqrt(acc) + cfg.rms_eps)
+            epoch_loss += loss
+        losses[epoch] = epoch_loss / steps
+    return params, losses
+
+
+def assert_bitwise(loss_a, grads_a, loss_b, grads_b):
+    assert np.float64(loss_a).tobytes() == np.float64(loss_b).tobytes()
+    assert (grads_a is None) == (grads_b is None)
+    for a, b in zip(grads_a or [], grads_b or []):
+        assert a.shape == b.shape and a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
+class TestFusedGradientMatchesTape:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 4), m=st.integers(1, 4), hidden=st.integers(1, 16),
+        batch=st.integers(1, 5), h=st.integers(1, 4), method=st.sampled_from(["rk4", "euler"]),
+        dt=st.floats(1e-3, 1.0), w_scale=st.floats(0.1, 40.0), zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_loss_and_gradients_bitwise(self, n, m, hidden, batch, h, method, dt, w_scale,
+                                        zeros, seed):
+        # w_scale up to 40 on unit states drives the hidden pre-activations
+        # deep into GELU's saturated tails; zeros starts the rollout at the
+        # origin with zero biases, so signed zeros reach every sum
+        rng = np.random.default_rng(seed)
+        n_out = n * (1 + m)
+        params = dyn.MlpParams(
+            w1=rng.normal(size=(hidden, n)) * w_scale,
+            b1=np.zeros(hidden) if zeros else rng.normal(size=hidden),
+            w2=rng.normal(size=(n_out, hidden)) / np.sqrt(hidden),
+            b2=np.zeros(n_out) if zeros else rng.normal(size=n_out),
+        )
+        s_batch = rng.normal(size=(h + 1, n, batch))
+        if zeros:
+            s_batch[0] = 0.0
+        a_batch = rng.normal(size=(h, m, batch))
+        with np.errstate(all="ignore"):
+            expected = taped_loss_and_grad(params, s_batch, a_batch, dt, n, method)
+            got = dyn._rollout_loss_and_grad(params, s_batch, a_batch, dt, n, method)
+        assert_bitwise(*got, *expected)
+
+    def test_default_stack_sizes(self):
+        # the CLI's model: 4 states, 4 actions, 64 hidden, batch 20, h 10
+        rng = np.random.default_rng(3)
+        model = NeuralOdeModel.create(4, 4, hidden=64, seed=0)
+        s_batch = np.cumsum(rng.normal(size=(11, 4, 20)) * 0.02, axis=0)
+        a_batch = rng.uniform(-0.05, 0.05, size=(10, 4, 20))
+        for method in ("rk4", "euler"):
+            expected = taped_loss_and_grad(model.params, s_batch, a_batch, 0.1, 4, method)
+            got = dyn._rollout_loss_and_grad(model.params, s_batch, a_batch, 0.1, 4, method)
+            assert_bitwise(*got, *expected)
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_train_matches_the_taped_loop(self, method):
+        rng = np.random.default_rng(4)
+        demos = linear_demos(rng, lambda s, a: 0.3 * a - 0.1 * s, 6, steps=15, n=4)
+        model = NeuralOdeModel.create(4, 4, hidden=16, seed=2)
+        cfg = TrainConfig(epochs=3, batch=5, rollout_h=4, seed=7, method=method)
+        trained, losses = dyn.train(model, demos, cfg)
+        params, expected = taped_train(model, demos, cfg)
+        assert losses.tobytes() == expected.tobytes()
+        for a, b in zip(trained.params.arrays(), params.arrays()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_position_model_matches_the_taped_loop(self):
+        rng = np.random.default_rng(5)
+        demos = linear_demos(rng, lambda s, a: a, 6, steps=15, n=4)
+        model = NeuralOdeModel.create(4, 4, hidden=16, seed=3)
+        cfg = TrainConfig(epochs=3, batch=5, rollout_h=4, seed=1)
+        pos, losses = dyn.derive_position_model(model, demos, cfg)
+        fresh = NeuralOdeModel.create(3, 3, hidden=16, seed=3)
+        params, expected = taped_train(fresh, dyn.slice_demos(demos, (0, 1, 2), (0, 1, 2)), cfg)
+        assert losses.tobytes() == expected.tobytes()
+        for a, b in zip(pos.params.arrays(), params.arrays()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_non_finite_loss_raises_training_diverged_at_that_epoch(self):
+        rng = np.random.default_rng(6)
+        demos = linear_demos(rng, lambda s, a: a, 3, n=2)
+        model = NeuralOdeModel.create(2, 2, hidden=4, seed=0)
+        model.params.w2[:] = 1e300  # finite weights whose rollout overflows
+        cfg = TrainConfig(epochs=2, seed=0)
+        for fit in (dyn.train, taped_train):
+            with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="epoch 0"):
+                fit(model, demos, cfg)
+
+    @pytest.mark.parametrize("where", ["w1", "b1", "w2", "b2", "state", "target"])
+    def test_non_finite_parameter_or_state_raises_value_error(self, where):
+        rng = np.random.default_rng(7)
+        params = dyn.init_mlp(2, 4, 6, seed=0)
+        s_batch = rng.normal(size=(3, 2, 2))
+        a_batch = rng.normal(size=(2, 2, 2))
+        if where == "state":
+            s_batch[0, 1, 0] = np.inf
+        elif where == "target":
+            s_batch[2, 0, 1] = np.nan
+        else:
+            getattr(params, where).flat[0] = np.nan
+        for grad_fn in (dyn._rollout_loss_and_grad, taped_loss_and_grad):
+            with pytest.raises(ValueError, match="non-finite value"):
+                grad_fn(params, s_batch, a_batch, 0.1, 2, "rk4")
+
+    def test_train_rejects_non_finite_parameters(self):
+        rng = np.random.default_rng(8)
+        demos = linear_demos(rng, lambda s, a: a, 3, n=2)
+        model = NeuralOdeModel.create(2, 2, hidden=4, seed=0)
+        model.params.b1[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite value"):
+            dyn.train(model, demos, TrainConfig(epochs=1, seed=0))
+
+    @pytest.mark.parametrize("method", ["RK4", "rk5", ""])
+    def test_train_rejects_unknown_method(self, method):
+        model = NeuralOdeModel.create(2, 2, hidden=4, seed=0)
+        demos = linear_demos(np.random.default_rng(9), lambda s, a: a, 2, n=2)
+        with pytest.raises(ValueError, match="method"):
+            dyn.train(model, demos, TrainConfig(epochs=1, method=method))

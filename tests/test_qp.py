@@ -405,3 +405,26 @@ def test_nan_row_gives_nan_status_not_an_exception(G, h):
     relaxed = qp.solve_with_slack(problem)
     assert relaxed.status == "nan"
     assert np.isnan(relaxed.slack_used)
+
+
+@pytest.mark.parametrize("lb,ub,q", [
+    ([-1.0, -1.0], [np.nan, 1.0], [-2.0, 0.0]),   # the minimiser lies past the finite box
+    ([-1.0, -1.0], [np.nan, 1.0], [0.0, 0.0]),    # the minimiser lies inside it
+    ([np.nan, -1.0], [1.0, 1.0], [2.0, 0.0]),     # a NaN lower bound
+])
+def test_nan_box_bound_gives_nan_status(lb, ub, q):
+    # a NaN bound is kept as a row, not dropped as if it were infinite
+    problem = qp.QpProblem(P=np.eye(2), q=np.array(q), lb=np.array(lb), ub=np.array(ub))
+    assert qp.solve(problem).status == "nan"
+    relaxed = qp.solve_with_slack(problem)
+    assert relaxed.status == "nan"
+    assert np.isnan(relaxed.slack_used)
+
+
+def test_stacked_rows_keep_nan_bounds_and_drop_infinite_ones():
+    problem = qp.QpProblem(P=np.eye(3), q=np.zeros(3), lb=np.array([-np.inf, np.nan, -1.0]),
+                           ub=np.array([np.nan, np.inf, 2.0]))
+    rows, rhs, origin = problem.stacked_rows()
+    assert np.array_equal(rows, [[1, 0, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]])
+    assert np.array_equal(rhs, [np.nan, 2.0, np.nan, 1.0], equal_nan=True)
+    assert np.array_equal(origin, [-1, -1, -1, -1])

@@ -376,6 +376,17 @@ class TestFilter:
         summary = compute_metrics({0: [result, result]})
         assert summary["fallback_events"] == 8 and summary["slack_events"] == 0
 
+    def test_nan_action_bound_falls_back(self):
+        # a NaN actuator bound reaches the QP as a NaN row, so the filter
+        # takes its fallback step instead of reporting an action past the box
+        shield = sphere_shield()
+        shield.config.ub = np.array([np.nan, 1.0, 1.0])
+        rep = shield.filter(np.array([2.0, 0.0, 0.0]), np.array([3.0, 0, 0]))
+        assert rep.fallback and rep.infeasible
+        assert np.isnan(rep.slack_used)
+        assert np.array_equal(rep.a_safe, np.clip(np.zeros(3), shield.config.lb,
+                                                  shield.config.ub), equal_nan=True)
+
     def test_nan_model_falls_back_instead_of_raising(self):
         # a model whose drift is NaN gives NaN rows: the QP reports status
         # "nan" and the filter returns its documented fallback step
