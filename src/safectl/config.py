@@ -141,13 +141,8 @@ SCHEMA = {
             "properties": {
                 "enabled": {"type": "boolean"},
                 "gamma": {"type": "number", "exclusiveMinimum": 0},
-                "gamma_behavioral": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "robust": {"type": "boolean"},
-                "per_dim": {"type": "boolean"},
                 "behavioral": {"type": "boolean"},
                 "task_space_radius": {"type": "number", "exclusiveMinimum": 0},
-                "vertex_budget": {"type": "integer", "minimum": 1},
-                "slack_penalty": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },
@@ -201,13 +196,8 @@ DEFAULTS = {
     "shield": {
         "enabled": True,
         "gamma": 10.0,
-        "gamma_behavioral": None,
-        "robust": True,
-        "per_dim": False,
         "behavioral": True,
         "task_space_radius": 0.5,
-        "vertex_budget": 64,
-        "slack_penalty": 1e6,
     },
 }
 
@@ -390,12 +380,7 @@ def build_shield(cfg: dict, models: dict, bounds: dict, demos=None):
     shield_cfg = ShieldConfig(
         gamma=s["gamma"],
         constraints=constraints,
-        vertex_budget=s["vertex_budget"],
-        robust=s["robust"],
-        per_dim=s["per_dim"],
         lb=-a_max * np.ones(m),
         ub=a_max * np.ones(m),
-        slack_penalty=s["slack_penalty"],
-        gamma_behavioral=s["gamma_behavioral"],
     )
     return SafetyShield(shield_cfg, models, bounds)

@@ -536,8 +536,7 @@ class UncertaintyBounds:
 
     Provenance, set by quantify_uncertainty: n_trajectories held-out
     trajectories were evaluated, and e_sdot_at / e_s_at give the (trajectory,
-    t) attaining each bound, trajectory indexing the evaluated list. An online
-    update that raises a bound clears its location."""
+    t) attaining each bound, trajectory indexing the evaluated list."""
 
     e_sdot: float
     e_s: float
@@ -557,21 +556,6 @@ class UncertaintyBounds:
         assuming held-out and future trajectories are exchangeable."""
         n = self.n_trajectories
         return n / (n + 1) if n else None
-
-    def update_online(self, model: NeuralOdeModel, s, a, s_next, method="rk4"):
-        """Running-max update from one executed transition (the online mode)."""
-        d_err, s_err = _one_step_errors(
-            model, np.atleast_2d(s), np.atleast_2d(a), np.atleast_2d(s_next), model.dt, method
-        )
-        d_err, s_err = d_err[0], s_err[0]
-        if d_err.sum() > self.e_sdot:
-            self.e_sdot, self.e_sdot_at = float(d_err.sum()), None
-        if s_err.sum() > self.e_s:
-            self.e_s, self.e_s_at = float(s_err.sum()), None
-        if self.per_dim_sdot.size:
-            np.maximum(self.per_dim_sdot, d_err, out=self.per_dim_sdot)
-            np.maximum(self.per_dim_s, s_err, out=self.per_dim_s)
-        return self
 
     def to_dict(self) -> dict:
         def at(loc):

@@ -10,17 +10,16 @@ recomputed densely per iteration.
 
 Feasible-first exit: when the unconstrained minimum already satisfies every
 row and the box within FEAS_TOL, it is the optimum, and `solve` returns it
-before stacking or deduplicating any row. This is the iteration's own first
-feasibility check moved ahead of the row preparation; dropping duplicate rows
-never changes the largest violation, so the answer is the same either way.
+before stacking any row. This is the iteration's own first feasibility check
+moved ahead of the row preparation, so the answer is the same either way.
 
 Determinism: ties (equal violations, equal blocking ratios) resolve to the
-lowest row index. Duplicate (row, rhs) pairs are dropped within 1e-12 before
-the iteration, keeping the first of each; reported active-set indices refer to
-the caller's original rows. The dedupe is one array pass: O(k^2) rhs
-comparisons and memory for k rows, then O(m) row comparisons for each pair
-whose rhs match; only rows with an earlier near-duplicate are settled in a
-Python loop.
+lowest row index, and reported active-set indices refer to the caller's rows.
+Duplicate rows need no pass of their own. Of exact copies of a row the first
+is picked, since ties go to the lowest index. Once one copy of a row (exact
+or within 1e-12) is in the working set, every other copy's violation is
+within 1e-12 * (1 + ||x||_1), far below FEAS_TOL, so no other copy enters
+while it stays there, and no dependent pair of copies forms.
 """
 
 from __future__ import annotations
@@ -100,26 +99,6 @@ class QpSolution:
     kkt_residual: float = float("nan")
 
 
-def _dedupe(G: np.ndarray, h: np.ndarray, origin: np.ndarray):
-    """Drop duplicate (row, rhs) pairs within 1e-12, keeping first occurrence.
-
-    Row i is dropped iff it lies within the tolerance of an earlier row that
-    is itself kept. The tolerance is not transitive (a ~ b and b ~ c without
-    a ~ c keeps a and c), so rows with an earlier near-duplicate are settled
-    in order; all others are kept outright.
-    """
-    # close[i, j], j < i: rows i and j match within the tolerance. The rhs is
-    # compared over all pairs, the row entries only over pairs whose rhs match.
-    close = np.abs(h[:, None] - h[None, :]) <= 1e-12
-    close &= np.tri(h.shape[0], k=-1, dtype=bool)
-    i, j = np.nonzero(close)
-    close[i, j] = np.all(np.abs(G[i] - G[j]) <= 1e-12, axis=1)
-    keep = ~close.any(axis=1)
-    for r in np.flatnonzero(~keep):
-        keep[r] = not close[r, keep].any()
-    return G[keep], h[keep], origin[keep]
-
-
 def solve(problem: QpProblem, max_iter: int = 500) -> QpSolution:
     """Solve the QP; P must be positive definite (P = I in all callers here).
 
@@ -155,7 +134,6 @@ def solve(problem: QpProblem, max_iter: int = 500) -> QpSolution:
                           status="optimal", kkt_residual=resid)
 
     G, h, origin = problem.stacked_rows()
-    G, h, origin = _dedupe(G, h, origin)
 
     active: list[int] = []
     lam = np.zeros(0)

@@ -6,10 +6,11 @@ forward-invariance condition
     L_f b(y) + L_g b(y) a - robust(y) + gamma * b(y) >= 0,
 
 with robust(y) = ||grad b(y)||_inf * e_sdot pairing the model's worst-case L1
-derivative error against the gradient (Hoelder duality), or the per-dimension
-sum when configured. State uncertainty widens the evaluation point into the
-box [s - e_s, s + e_s]; the condition is enforced at every box vertex plus
-the center (budget-capped with deterministic bit-reversal subsampling), which
+derivative error against the gradient (Hoelder duality). Every row, spatial
+or behavioral, uses the same gamma. State uncertainty widens the evaluation
+point into the box [s - e_s, s + e_s]; the condition is enforced at the
+center and at every box vertex, at most MAX_BOX_CORNERS of them (chosen by
+deterministic bit-reversal subsampling when there are more), which
 under-approximates the min over the box on the sampled set.
 
 Rows are built batched. The box points and the model evaluation depend only
@@ -40,7 +41,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import qp
-from .dynamics import POSITION_DIMS, NeuralOdeModel, UncertaintyBounds
+from .dynamics import POSITION_DIMS, UncertaintyBounds
+
+MAX_BOX_CORNERS = 64  # box corners enforced per binding; more are subsampled
 
 
 @dataclass
@@ -59,13 +62,8 @@ class ConstraintSpec:
 class ShieldConfig:
     gamma: float = 10.0
     constraints: list = field(default_factory=list)
-    vertex_budget: int = 64
-    robust: bool = True
-    per_dim: bool = False
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
-    slack_penalty: float = 1e6
-    gamma_behavioral: float | None = None  # defaults to gamma
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -86,81 +84,39 @@ class FilterReport:
     fallback: bool = False  # the relaxation failed too; a_safe is the hold action
 
 
-def _rows_at(barrier, Y, f, g, bounds: UncertaintyBounds, gamma: float, robust: bool,
-             per_dim: bool):
+def _rows_at(barrier, Y, f, g, bounds: UncertaintyBounds, gamma: float):
     """CBF rows at every evaluation point of Y (B, n), given the model's drift
-    f (B, n) and gain g (B, n, n_action) there: G (B, n_action) and h (B,) as
-    in build_constraint, plus the barrier values b (B,)."""
+    f (B, n) and gain g (B, n, n_action) there: G = -L_g b (B, n_action),
+    h = L_f b - robust + gamma * b (B,), and the barrier values b (B,)."""
     b, grad = barrier.value_and_grad_batch(Y)
     lf = np.einsum("bi,bi->b", grad, f)
     lg = np.einsum("bi,bij->bj", grad, g)
-    if not robust:
-        margin = 0.0
-    elif per_dim and bounds.per_dim_sdot.size:
-        margin = np.abs(grad) @ bounds.per_dim_sdot
-    else:
-        margin = np.abs(grad).max(axis=1) * bounds.e_sdot
+    margin = np.abs(grad).max(axis=1) * bounds.e_sdot
     return -lg, lf - margin + gamma * b, b
 
 
-def build_constraint(barrier, model: NeuralOdeModel, y, bounds: UncertaintyBounds,
-                     gamma: float, robust: bool = True, per_dim: bool = False):
-    """One QP row (G, h) for the CBF condition at evaluation point y:
-    G = -L_g b(y), h = L_f b(y) - robust_term + gamma * b(y)."""
-    Y = np.asarray(y, dtype=np.float64)[None, :]
-    G, h, _ = _rows_at(barrier, Y, *model.drift_and_gain_batch(Y), bounds, gamma, robust,
-                       per_dim)
-    return G[0], float(h[0])
-
-
 @lru_cache(maxsize=64)
-def _corner_signs(n: int, budget: int) -> np.ndarray:
-    """+-1 sign rows of the first min(2^n, budget) cube corners, bit-reversed
-    enumeration: row i has sign + on axis j iff bit n-1-j of i is set.
-    Read-only, because every caller shares the cached array."""
-    i = np.arange(min(1 << n, budget))
+def _corner_signs(n: int) -> np.ndarray:
+    """+-1 sign rows of the first min(2^n, MAX_BOX_CORNERS) cube corners,
+    bit-reversed enumeration: row i has sign + on axis j iff bit n-1-j of i is
+    set. Read-only, because every caller shares the cached array."""
+    i = np.arange(min(1 << n, MAX_BOX_CORNERS))
     signs = ((i[:, None] >> (n - 1 - np.arange(n))) & 1) * 2.0 - 1.0
     signs.flags.writeable = False
     return signs
 
 
-def box_vertices(center: np.ndarray, half_width: float, budget: int) -> np.ndarray:
+def box_vertices(center: np.ndarray, half_width: float) -> np.ndarray:
     """Vertices of the axis-aligned box center +- half_width plus the center.
 
-    When 2^n exceeds the budget, corners are subsampled deterministically by
-    bit-reversed index, which spreads the kept corners across the cube.
+    When 2^n exceeds MAX_BOX_CORNERS, corners are subsampled deterministically
+    by bit-reversed index, which spreads the kept corners across the cube.
     Returns an array with the center as the first row.
     """
     if half_width == 0.0:
         return center[None, :]
-    # bit-reversed enumeration throughout, so a smaller budget always yields a
-    # prefix of a larger one (monotone feasible sets) and subsampling spreads
-    # the kept corners across the cube
-    signs = _corner_signs(center.shape[0], budget)
+    signs = _corner_signs(center.shape[0])
     return np.vstack([center[None, :], center[None, :] + half_width * signs])
-
-
-def robustify_over_state_box(barrier, model: NeuralOdeModel, s, bounds: UncertaintyBounds,
-                             gamma: float, robust: bool = True, per_dim: bool = False,
-                             vertex_budget: int = 64):
-    """CBF rows at every sampled point of the uncertainty box around s.
-
-    Enforcing all rows intersects the per-point half-spaces, so adding
-    vertices never enlarges the feasible action set. e_s = 0 degenerates to
-    the single row at s. Returns (rows, rhs, b) with b the barrier value at
-    each box point; row 0 and b[0] belong to the center s itself.
-    """
-    return _rows_at(barrier, *_box_and_model(model, s, bounds, robust, vertex_budget),
-                    bounds, gamma, robust, per_dim)
-
-
-def _box_and_model(model: NeuralOdeModel, s, bounds: UncertaintyBounds, robust: bool,
-                   vertex_budget: int):
-    """The sampled uncertainty box around s (center first) and the model's
-    drift and gain at its points: (points, f, g), one MLP call."""
-    pts = box_vertices(np.asarray(s, dtype=np.float64), bounds.e_s if robust else 0.0,
-                       vertex_budget)
-    return (pts, *model.drift_and_gain_batch(pts))
 
 
 class SafetyShield:
@@ -195,8 +151,10 @@ class SafetyShield:
         """constraint_rows plus the per-constraint barrier value at s, read
         from each constraint's center row instead of evaluating again.
 
-        The rows are robustify_over_state_box's for each constraint, with the
-        box points and their model evaluation built once per binding."""
+        Each constraint gives one row per point of the box around its
+        binding's state (the center first), so e_s = 0 gives one row. The box
+        points and their model evaluation (one MLP call) are built once per
+        binding and shared by every constraint on it."""
         cfg = self.config
         s = np.asarray(s, dtype=np.float64)
         n_action = self.models["full"].n_action if "full" in self.models else len(POSITION_DIMS)
@@ -205,15 +163,9 @@ class SafetyShield:
         for spec in cfg.constraints:
             bnd = self.bounds[spec.binding]
             if spec.binding not in at_box:
-                at_box[spec.binding] = _box_and_model(
-                    self.models[spec.binding], self._state_for(spec, s), bnd, cfg.robust,
-                    cfg.vertex_budget,
-                )
-            gamma = cfg.gamma
-            if spec.binding == "full" and cfg.gamma_behavioral is not None:
-                gamma = cfg.gamma_behavioral
-            rows, rhs, b = _rows_at(spec.barrier, *at_box[spec.binding], bnd, gamma,
-                                    cfg.robust, cfg.per_dim)
+                pts = box_vertices(self._state_for(spec, s), bnd.e_s)
+                at_box[spec.binding] = (pts, *self.models[spec.binding].drift_and_gain_batch(pts))
+            rows, rhs, b = _rows_at(spec.barrier, *at_box[spec.binding], bnd, cfg.gamma)
             if spec.binding == "position":
                 padded = np.zeros((rows.shape[0], n_action))
                 padded[:, list(POSITION_DIMS)] = rows
@@ -237,9 +189,9 @@ class SafetyShield:
         When the rows admit no action in the box, the shared-slack relaxation
         gives the action, and a slack above 1e-6 marks the step infeasible.
         When the relaxation does not solve either (e.g. an empty action box),
-        a_safe is the fallback np.clip(0, lb, ub), the zero (hold-position)
-        velocity clipped to the box, and the report has infeasible=True,
-        fallback=True and a nan slack."""
+        a_safe is the fallback, the zero (hold-position) velocity clipped to
+        the box (a NaN bound side is ignored, so it is finite), and the report
+        has infeasible=True, fallback=True and a nan slack."""
         t0 = time.perf_counter()
         a_des = np.asarray(a_des, dtype=np.float64)
         s = np.asarray(s, dtype=np.float64)
@@ -254,12 +206,13 @@ class SafetyShield:
             lb=self.config.lb,
             ub=self.config.ub,
         )
-        sol = qp.solve_with_slack(problem, penalty=self.config.slack_penalty)
+        sol = qp.solve_with_slack(problem)
         fallback = sol.status != "optimal"
         a_safe = sol.a
         if fallback:
+            # fmax/fmin skip a NaN bound, so the hold action stays finite
             lb, ub = self.config.lb, self.config.ub
-            a_safe = np.clip(np.zeros_like(a_des), -np.inf if lb is None else lb,
+            a_safe = np.fmin(np.fmax(np.zeros_like(a_des), -np.inf if lb is None else lb),
                              np.inf if ub is None else ub)
         return FilterReport(
             a_safe=a_safe,

@@ -18,7 +18,7 @@ from conftest import GOAL, START, reach_env, zone_on_path
 from safectl import dynamics as dyn
 from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier, zone_from_config
 from safectl.control import ClfConfig, KnnExpertPolicy, path_from_config
-from safectl.shield import ConstraintSpec, SafetyShield, ShieldConfig, build_constraint
+from safectl.shield import ConstraintSpec, SafetyShield, ShieldConfig
 from safectl.sim import ClfPolicy, KinematicEnv, KnnPolicy, run_episode
 
 REPO = Path(__file__).resolve().parent.parent
@@ -334,7 +334,8 @@ def test_criterion_9_filter_minimality(default_stack):
     while done_active < 100 or done_inactive < 100:
         s = rng.uniform(1.05, 2.5, 3) * rng.choice([-1.0, 1.0], 3)
         a_des = rng.uniform(-2, 2, 3)
-        G, h = build_constraint(zone, model, s, bounds, gamma=1.0)
+        rows, rhs = shield.constraint_rows(s)  # e_s = 0: the one row at s
+        G, h = rows[0], rhs[0]
         viol = float(G @ a_des - h)
         rep = shield.filter(a_des, s)
         if viol > 1e-3 and done_active < 100:

@@ -1,0 +1,54 @@
+"""The program names the benchmark reaches by name still exist.
+
+bench/tracing.py patches methods and module functions through
+`owner.__dict__[attr]`, so deleting or renaming one of them raises KeyError
+in every traced benchmark run. These checks find that here, in well under a
+second, without running the benchmark.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import tracing  # noqa: E402
+from safectl.dynamics import NeuralOdeModel  # noqa: E402
+from safectl.shield import SafetyShield  # noqa: E402
+
+
+def target_id(target):
+    owner, attr = target[0], target[1]
+    return f"{owner.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("target", tracing.targets(), ids=target_id)
+def test_tracer_target_is_defined_on_its_owner(target):
+    owner, attr = target[0], target[1]
+    assert attr in owner.__dict__, f"{owner.__name__} has no {attr} for the tracer to wrap"
+
+
+class _Recorder:
+    """Stands in for the probe's patch list: records what it would patch."""
+
+    def __init__(self):
+        self.seen = []
+
+    def set(self, owner, attr, value):
+        self.seen.append((owner, attr))
+
+
+@pytest.mark.parametrize("shielded", [False, True])
+def test_probe_patches_names_defined_on_their_owners(shielded):
+    probe = tracing.Probe(shielded=shielded)
+    probe._patches = _Recorder()
+    probe.install()
+    assert probe._patches.seen
+    for owner, attr in probe._patches.seen:
+        assert attr in owner.__dict__, f"{owner.__name__} has no {attr} for the probe to wrap"
+
+
+def test_single_point_entry_points_exist():
+    assert callable(SafetyShield.__dict__.get("constraint_rows"))
+    assert callable(NeuralOdeModel.__dict__.get("field"))

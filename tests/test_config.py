@@ -52,3 +52,27 @@ def test_bad_config_file_raises_with_path(tmp_path):
     p.write_text(json.dumps(bad(["env", "dt"], 0)))
     with pytest.raises(ConfigError, match=r"^config invalid at env/dt: 0 is less than or equal"):
         config.load(p)
+
+
+REMOVED_SHIELD_KEYS = {"per_dim": False, "gamma_behavioral": 3.0, "robust": True,
+                       "vertex_budget": 64, "slack_penalty": 1e6}
+
+
+@pytest.mark.parametrize("key,value", REMOVED_SHIELD_KEYS.items(), ids=REMOVED_SHIELD_KEYS.keys())
+def test_removed_shield_key_is_rejected(key, value):
+    # the shield has one behaviour: gamma on every row, the robust margin and
+    # state box always on, MAX_BOX_CORNERS corners and the default slack penalty
+    with pytest.raises(ConfigError, match=f"'{key}' was unexpected"):
+        config.validate(bad(["shield", key], value))
+
+
+def test_removed_shield_key_on_the_command_line_exits_2(tmp_path, capsys):
+    from safectl import cli
+
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(GOOD))
+    code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--set", "shield.per_dim=true"])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "per_dim" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -210,19 +210,6 @@ class TestUncertainty:
                 err = np.abs(sdot_star - model.field(d.states[t], d.actions[t])).sum()
                 assert err <= bounds.e_sdot + 1e-12
 
-    def test_online_update_running_max(self):
-        model = AffineModel.integrator(2)
-        b = UncertaintyBounds(e_sdot=0.0, e_s=0.0,
-                              per_dim_sdot=np.zeros(2), per_dim_s=np.zeros(2))
-        s = np.zeros(2)
-        s_next = np.array([0.02, 0.0])  # moved without action: pure disturbance
-        b.update_online(model, s, np.zeros(2), s_next)
-        assert b.e_sdot == pytest.approx(0.2, abs=1e-12)
-        assert b.e_s == pytest.approx(0.02, abs=1e-12)
-        # smaller subsequent error leaves the max unchanged
-        b.update_online(model, s, np.zeros(2), np.array([0.001, 0.0]))
-        assert b.e_sdot == pytest.approx(0.2, abs=1e-12)
-
     def test_empty_eval_set(self):
         with pytest.raises(ValueError, match="empty"):
             quantify_uncertainty(AffineModel.integrator(2), [])
@@ -248,15 +235,6 @@ class TestUncertainty:
         b = UncertaintyBounds.from_dict(old)
         assert (b.e_sdot, b.e_s) == (0.1, 0.02)
         assert (b.n_trajectories, b.coverage, b.e_sdot_at, b.e_s_at) == (0, None, None, None)
-
-    def test_online_update_clears_location_of_a_raised_bound(self):
-        model = AffineModel.integrator(2)
-        b = UncertaintyBounds(e_sdot=0.1, e_s=0.01, n_trajectories=4,
-                              e_sdot_at=(1, 2), e_s_at=(1, 2))
-        b.update_online(model, np.zeros(2), np.zeros(2), np.array([0.001, 0.0]))
-        assert b.e_sdot_at == (1, 2) and b.e_s_at == (1, 2)
-        b.update_online(model, np.zeros(2), np.zeros(2), np.array([0.02, 0.0]))
-        assert b.e_sdot_at is None and b.e_s_at is None
 
 
 def reference_quantify(model, demos, method):
@@ -354,27 +332,12 @@ class TestBatchedQuantifyMatchesPerTransitionReference:
         assert (b.e_sdot, b.e_s) == (ref.e_sdot, ref.e_s)
         assert b.e_sdot_at == (1, ref.e_sdot_at[1]) and b.n_trajectories == 2
 
-    def test_online_update_matches_one_transition_quantify(self):
-        rng = np.random.default_rng(7)
-        model = NeuralOdeModel.create(3, 3, hidden=8, seed=2)
-        d = random_demos(rng, 3, 3, [1], [model.dt])[0]
-        b = UncertaintyBounds(e_sdot=0.0, e_s=0.0,
-                              per_dim_sdot=np.zeros(3), per_dim_s=np.zeros(3))
-        b.update_online(model, d.states[0], d.actions[0], d.states[1])
-        ref = quantify_uncertainty(model, [d])
-        assert (b.e_sdot, b.e_s) == (ref.e_sdot, ref.e_s)
-        assert np.array_equal(b.per_dim_sdot, ref.per_dim_sdot)
-        assert np.array_equal(b.per_dim_s, ref.per_dim_s)
-
     @pytest.mark.parametrize("method", ["RK4", "rk5", "Euler", ""])
     def test_unknown_method_raises(self, method):
         model = AffineModel.integrator(2)
         demos = random_demos(np.random.default_rng(0), 2, 2, [3], [0.1])
         with pytest.raises(ValueError, match="unknown method"):
             quantify_uncertainty(model, demos, method=method)
-        with pytest.raises(ValueError, match="unknown method"):
-            UncertaintyBounds(0.0, 0.0).update_online(
-                model, np.zeros(2), np.zeros(2), np.zeros(2), method=method)
 
 
 class TestPositionModel:

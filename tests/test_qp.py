@@ -141,13 +141,13 @@ def test_row_scaling_invariance():
         assert np.allclose(base.a, scaled.a, atol=1e-8), trial
 
 
-def test_duplicate_rows_deduplicated():
+def test_duplicate_rows_only_first_copy_enters():
     G = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
     h = [0.0, 0.0, 0.0]
     sol = qp.solve(qp.QpProblem(P=np.eye(2), q=np.array([-2.0, 0.0]), G=G, h=h))
     assert sol.status == "optimal"
     assert np.allclose(sol.a, [0.0, 0.0], atol=1e-12)
-    assert sol.active_set == [0]  # only the first copy survives
+    assert sol.active_set == [0]  # the later copies never enter the working set
 
 
 def test_equal_violation_tiebreak_lowest_index():
@@ -238,71 +238,7 @@ def test_dump_problem_is_json_ready():
     assert json.loads(json.dumps(payload))["h"] == [1.0]
 
 
-def greedy_dedupe_reference(G, h, origin):
-    """The row-by-row dedupe the array pass replaced: row i is dropped when it
-    matches an already kept row within 1e-12, first occurrence kept."""
-    keep = []
-    for i in range(G.shape[0]):
-        dup = False
-        for j in keep:
-            if abs(h[i] - h[j]) <= 1e-12 and np.all(np.abs(G[i] - G[j]) <= 1e-12):
-                dup = True
-                break
-        if not dup:
-            keep.append(i)
-    keep = np.asarray(keep, dtype=int)
-    return G[keep], h[keep], origin[keep]
-
-
-def assert_same_dedupe(G, h):
-    origin = np.arange(G.shape[0])
-    got = qp._dedupe(G, h, origin)
-    want = greedy_dedupe_reference(G, h, origin)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 30), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_dedupe_matches_greedy_reference(k, m, seed):
-    # random rows with planted exact copies and copies shifted by 0.9e-12
-    # (dropped) and 1.1e-12 (kept) in one entry or the rhs
-    rng = np.random.default_rng(seed)
-    G = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(k, m))  # coarse values repeat by chance
-    h = rng.choice([0.0, 0.05, 1.0], size=k)
-    rows, rhs = [G], [h]
-    for _ in range(rng.integers(0, 6) if k else 0):
-        i = int(rng.integers(0, k))
-        g, b = G[i].copy(), float(h[i])
-        shift = float(rng.choice([0.0, 0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12]))
-        if rng.random() < 0.5:
-            g[int(rng.integers(0, m))] += shift
-        else:
-            b += shift
-        rows.append(g[None, :])
-        rhs.append([b])
-    order = rng.permutation(sum(r.shape[0] for r in rows))
-    assert_same_dedupe(np.vstack(rows)[order], np.concatenate(rhs)[order])
-
-
-def test_dedupe_tolerance_boundary():
-    G = np.array([[1.0, 0.0], [1.0 + 0.9e-12, 0.0], [1.0 + 1.1e-12, 0.0]])
-    h = np.array([0.5, 0.5, 0.5])
-    _, _, origin = qp._dedupe(G, h, np.arange(3))
-    assert origin.tolist() == [0, 2]
-    assert_same_dedupe(G, h)
-
-
-def test_dedupe_nontransitive_chain_keeps_both_ends():
-    # a ~ b and b ~ c but not a ~ c: b goes with a, c stays
-    G = np.array([[0.0, 1.0], [0.0, 1.0 + 0.9e-12], [0.0, 1.0 + 1.8e-12], [0.0, 1.0]])
-    h = np.zeros(4)
-    _, _, origin = qp._dedupe(G, h, np.arange(4))
-    assert origin.tolist() == [0, 2]
-    assert_same_dedupe(G, h)
-
-
-def test_active_set_refers_to_callers_rows_after_dedupe():
+def test_active_set_refers_to_callers_rows_with_copies():
     # rows 0-2 are copies of one loose row; rows 3 and 5 copies of the binding
     # row, row 4 a near-copy within tolerance: only row 3 can be reported
     G = [[1.0, 0.0], [1.0, 0.0], [1.0, 1e-13], [0.0, 1.0], [0.0, 1.0 + 5e-13], [0.0, 1.0]]
@@ -313,11 +249,55 @@ def test_active_set_refers_to_callers_rows_after_dedupe():
     assert sol.active_set == [3]
 
 
+def with_copies(problem, rng, exact):
+    """problem with copies of random rows appended: exact ones, or (unless
+    exact) ones with one entry or the rhs shifted by at most 1e-12."""
+    G, h = [problem.G], [problem.h]
+    for _ in range(int(rng.integers(1, 6))):
+        i = int(rng.integers(0, problem.G.shape[0]))
+        g, b = problem.G[i].copy(), float(problem.h[i])
+        shift = 0.0 if exact else float(rng.choice([0.0, 1.0])) * rng.uniform(-1e-12, 1e-12)
+        if rng.random() < 0.5:
+            g[int(rng.integers(0, problem.dim))] += shift
+        else:
+            b += shift
+        G.append(g[None, :])
+        h.append([b])
+    return qp.QpProblem(P=problem.P, q=problem.q, G=np.vstack(G), h=np.concatenate(h),
+                        lb=problem.lb, ub=problem.ub)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_copied_rows_change_neither_status_nor_solution(k, m, feasible, seed):
+    # no pass removes copies: the active-set iteration never lets a second
+    # copy of a working row in, so copies leave the answer as it was
+    rng = np.random.default_rng(seed)
+    problem = feasible_instance(rng, m, k)
+    if not feasible:
+        # a row and its negation with negative rhs admit no point
+        g = rng.normal(size=m)
+        problem = qp.QpProblem(P=problem.P, q=problem.q, G=np.vstack([problem.G, g, -g]),
+                               h=np.append(problem.h, [-0.5, -0.5]), lb=problem.lb, ub=problem.ub)
+    want = qp.solve(problem)
+    assert want.status == ("optimal" if feasible else "infeasible")
+    got = qp.solve(with_copies(problem, rng, exact=False))
+    assert got.status == want.status
+    if feasible:
+        assert np.max(np.abs(got.a - want.a)) <= 1e-9
+    # exact copies change nothing, also in the slack relaxation (its 1e6
+    # penalty can scale a 1e-12 shift of a row past 1e-9)
+    copied = with_copies(problem, rng, exact=True)
+    for solve in (qp.solve, qp.solve_with_slack):
+        want, got = solve(problem), solve(copied)
+        assert got.status == want.status
+        assert got.a.tobytes() == want.a.tobytes()
+
+
 def forbid_row_preparation(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("row preparation reached")
 
-    monkeypatch.setattr(qp, "_dedupe", boom)
     monkeypatch.setattr(qp.QpProblem, "stacked_rows", boom)
 
 
@@ -370,14 +350,15 @@ def test_violation_within_feasibility_tolerance_still_exits_early(monkeypatch):
     ([[1.0, 0.0], [1.0, 0.0]], [-1.0, -1.0], [-2.0, -2.0], [2.0, 2.0], [0]),
 ])
 def test_infeasible_start_reaches_dedupe(monkeypatch, G, h, lb, ub, active):
+    # an infeasible start stacks the rows once, then iterates
     calls = []
-    original = qp._dedupe
+    original = qp.QpProblem.stacked_rows
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(qp, "_dedupe", counting)
+    monkeypatch.setattr(qp.QpProblem, "stacked_rows", counting)
     sol = qp.solve(qp.QpProblem(P=np.eye(2), q=np.zeros(2), G=G, h=h, lb=lb, ub=ub))
     assert calls == [1]
     assert sol.status == "optimal" and sol.active_set == active  # box rows are not reported
@@ -389,7 +370,7 @@ def test_nan_start_takes_the_full_path(monkeypatch):
     def reached(*args):
         raise LookupError("full path")
 
-    monkeypatch.setattr(qp, "_dedupe", reached)
+    monkeypatch.setattr(qp.QpProblem, "stacked_rows", reached)
     with pytest.raises(LookupError, match="full path"):
         qp.solve(qp.QpProblem(P=np.eye(2), q=np.zeros(2), G=[[np.nan, 0.0]], h=[1.0]))
 

@@ -7,12 +7,11 @@ from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier
 from safectl.dynamics import POSITION_DIMS, AffineModel, NeuralOdeModel, UncertaintyBounds
 from safectl.sim import EnvConfig, compute_metrics, run_episode
 from safectl.shield import (
+    MAX_BOX_CORNERS,
     ConstraintSpec,
     SafetyShield,
     ShieldConfig,
     box_vertices,
-    build_constraint,
-    robustify_over_state_box,
 )
 
 ZERO = UncertaintyBounds(e_sdot=0.0, e_s=0.0)
@@ -26,56 +25,38 @@ def sphere_shield(gamma=1.0, bounds=ZERO, a_box=1.0, zone=None):
     return SafetyShield(cfg, models={"position": model}, bounds={"position": bounds})
 
 
+def one_row(shield, s):
+    """The single CBF row (G, h) of a one-constraint shield whose bounds have
+    e_s = 0, so the state box is the state alone."""
+    G, h = shield.constraint_rows(s)
+    assert G.shape[0] == 1
+    return G[0], float(h[0])
+
+
 class TestBuildConstraint:
+    """One CBF row, as a one-constraint shield builds it when e_s = 0."""
+
     def test_integrator_sphere_analytic(self):
         # b = 3, grad = (4,0,0), f=0, g=I, gamma=1 -> 4 a1 + 3 >= 0
-        G, h = build_constraint(SphereZone([0, 0, 0], 1.0), AffineModel.integrator(3),
-                                np.array([2.0, 0, 0]), ZERO, gamma=1.0)
+        G, h = one_row(sphere_shield(), np.array([2.0, 0, 0]))
         assert np.allclose(G, [-4.0, 0.0, 0.0], atol=1e-14)
         assert h == pytest.approx(3.0, abs=1e-14)
 
     def test_derivative_error_shrinks_rhs_exactly(self):
-        zone = SphereZone([0, 0, 0], 1.0)
-        model = AffineModel.integrator(3)
         y = np.array([2.0, 0, 0])
-        _, h0 = build_constraint(zone, model, y, ZERO, gamma=1.0)
+        _, h0 = one_row(sphere_shield(), y)
         e = 0.123
-        _, h1 = build_constraint(zone, model, y, UncertaintyBounds(e_sdot=e, e_s=0.0), gamma=1.0)
+        _, h1 = one_row(sphere_shield(bounds=UncertaintyBounds(e_sdot=e, e_s=0.0)), y)
         # ||grad||_inf = 4 at this point
         assert h1 == pytest.approx(h0 - 4.0 * e, abs=1e-12)
-
-    def test_per_dim_variant(self):
-        zone = SphereZone([0, 0, 0], 1.0)
-        model = AffineModel.integrator(3)
-        y = np.array([2.0, 1.0, 0])
-        bounds = UncertaintyBounds(e_sdot=0.3, e_s=0.0,
-                                   per_dim_sdot=np.array([0.1, 0.2, 0.0]),
-                                   per_dim_s=np.zeros(3))
-        _, h_inf = build_constraint(zone, model, y, bounds, gamma=1.0, per_dim=False)
-        _, h_pd = build_constraint(zone, model, y, bounds, gamma=1.0, per_dim=True)
-        grad = np.array([4.0, 2.0, 0.0])
-        _, h0 = build_constraint(zone, model, y, ZERO, gamma=1.0)
-        assert h_inf == pytest.approx(h0 - 4.0 * 0.3, abs=1e-12)
-        assert h_pd == pytest.approx(h0 - float(np.abs(grad) @ bounds.per_dim_sdot), abs=1e-12)
-
-    def test_robust_off_drops_margin(self):
-        zone = SphereZone([0, 0, 0], 1.0)
-        model = AffineModel.integrator(3)
-        y = np.array([2.0, 0, 0])
-        _, h_off = build_constraint(zone, model, y,
-                                    UncertaintyBounds(e_sdot=5.0, e_s=0.0),
-                                    gamma=1.0, robust=False)
-        _, h_ref = build_constraint(zone, model, y, ZERO, gamma=1.0)
-        assert h_off == h_ref
 
     def test_interior_point_feasible_at_zero_action(self):
         # far outside the zone, h >= 0 so a = 0 satisfies the row
         rng = np.random.default_rng(0)
-        zone = SphereZone([0, 0, 0], 0.5)
-        model = AffineModel.integrator(3)
+        shield = sphere_shield(zone=SphereZone([0, 0, 0], 0.5))
         for _ in range(50):
             y = rng.uniform(1.0, 3.0, 3) * rng.choice([-1.0, 1.0], 3)
-            G, h = build_constraint(zone, model, y, ZERO, gamma=1.0)
+            G, h = one_row(shield, y)
             assert h >= 0.0
 
 
@@ -103,17 +84,15 @@ def per_point_rows(shield, s):
         model, bnd = shield.models[spec.binding], shield.bounds[spec.binding]
         if spec.binding == "position":
             y0, cols = s[list(POSITION_DIMS)], list(POSITION_DIMS)
-            gamma = cfg.gamma
         else:
             y0, cols = s, list(range(n_action))
-            gamma = cfg.gamma if cfg.gamma_behavioral is None else cfg.gamma_behavioral
-        for y in corner_reference(y0, bnd.e_s, cfg.vertex_budget):
+        for y in corner_reference(y0, bnd.e_s, MAX_BOX_CORNERS):
             b, grad = spec.barrier.value_and_grad(y)
             f, g = model.drift_and_gain(y)
             row = np.zeros(n_action)
             row[cols] = -(grad @ g)
             rows.append(row)
-            rhs.append(float(grad @ f) - float(np.abs(grad).max() * bnd.e_sdot) + gamma * b)
+            rhs.append(float(grad @ f) - float(np.abs(grad).max() * bnd.e_sdot) + cfg.gamma * b)
         margins.append(spec.barrier.value(y0))
     return np.array(rows), np.array(rhs), np.array(margins)
 
@@ -155,8 +134,7 @@ class TestBatchedRowsMatchPerPointReference:
             assert not rep.infeasible
             assert np.max(np.abs(rep.margins - m_ref)) <= 1e-12
             ref = qp.solve_with_slack(
-                qp.QpProblem(P=np.eye(4), q=-a_des, G=G_ref, h=h_ref, lb=cfg.lb, ub=cfg.ub),
-                penalty=cfg.slack_penalty)
+                qp.QpProblem(P=np.eye(4), q=-a_des, G=G_ref, h=h_ref, lb=cfg.lb, ub=cfg.ub))
             assert np.max(np.abs(rep.a_safe - ref.a)) <= 1e-12
             intervened += rep.intervened
         assert intervened >= 5, "the states never brought the sphere row into play"
@@ -165,7 +143,8 @@ class TestBatchedRowsMatchPerPointReference:
 class TestRowsSharedPerBinding:
     def test_one_model_call_per_binding_and_rows_bitwise(self, monkeypatch):
         # two spatial constraints share the position box, one behavioral row
-        # uses the full-state box; gamma_behavioral differs from gamma
+        # uses the full-state box; the reference builds each constraint's rows
+        # alone, in a one-constraint shield
         rng = np.random.default_rng(3)
         demo_states = rng.uniform(-0.2, 0.4, size=(60, 4))
         constraints = [
@@ -173,13 +152,15 @@ class TestRowsSharedPerBinding:
             ConstraintSpec(TaskSpaceBarrier(demo_states, radius=0.3), "full"),
             ConstraintSpec(CylinderZone([0.1, 0.2, 0.0], [0.2, 0.1, 1.0], 0.03, 0.1), "position"),
         ]
-        cfg = ShieldConfig(gamma=8.0, gamma_behavioral=3.0, constraints=constraints,
-                           lb=-0.05 * np.ones(4), ub=0.05 * np.ones(4))
+        box = dict(lb=-0.05 * np.ones(4), ub=0.05 * np.ones(4))
+        cfg = ShieldConfig(gamma=8.0, constraints=constraints, **box)
         models = {"position": NeuralOdeModel.create(3, 3, hidden=16, seed=1),
                   "full": NeuralOdeModel.create(4, 4, hidden=16, seed=2)}
         bounds = {"position": UncertaintyBounds(e_sdot=0.02, e_s=0.004),
                   "full": UncertaintyBounds(e_sdot=0.03, e_s=0.006)}
         shield = SafetyShield(cfg, models=models, bounds=bounds)
+        alone = [SafetyShield(ShieldConfig(gamma=8.0, constraints=[spec], **box), models=models,
+                              bounds=bounds) for spec in constraints]
         calls = {}
         for binding, model in models.items():
             def counted(S, _model=model, _binding=binding):
@@ -191,41 +172,29 @@ class TestRowsSharedPerBinding:
             calls.clear()
             G, h, margins = shield.rows_and_margins(s)
             assert calls == {"position": 1, "full": 1}
-            G_ref, h_ref, m_ref = [], [], []
-            for spec in constraints:
-                pos = spec.binding == "position"
-                rows, rhs, b = robustify_over_state_box(
-                    spec.barrier, models[spec.binding], s[:3] if pos else s,
-                    bounds[spec.binding], cfg.gamma if pos else cfg.gamma_behavioral)
-                G_ref.append(np.hstack([rows, np.zeros((rows.shape[0], 1))]) if pos else rows)
-                h_ref.append(rhs)
-                m_ref.append(b[0])
-            G_ref, h_ref = np.vstack(G_ref), np.concatenate(h_ref)
+            G_ref, h_ref, m_ref = zip(*(one.rows_and_margins(s) for one in alone))
+            G_ref, h_ref, m_ref = np.vstack(G_ref), np.concatenate(h_ref), np.concatenate(m_ref)
             assert G.shape == (9 + 17 + 9, 4)
             assert G.tobytes() == G_ref.tobytes() and h.tobytes() == h_ref.tobytes()
-            assert margins.tobytes() == np.array(m_ref).tobytes()
+            assert margins.tobytes() == m_ref.tobytes()
 
 
 class TestStateBoxRobustification:
-    @pytest.mark.parametrize("n,budget", [(1, 64), (3, 64), (4, 64), (4, 5), (8, 16), (8, 64)])
-    def test_box_vertices_match_corner_enumeration(self, n, budget):
+    @pytest.mark.parametrize("n,cap", [(n, MAX_BOX_CORNERS) for n in (1, 3, 4, 7, 8)])
+    def test_box_vertices_match_corner_enumeration(self, n, cap):
         center = np.linspace(-1.0, 1.0, n)
-        assert np.array_equal(box_vertices(center, 0.1, budget),
-                              corner_reference(center, 0.1, budget))
+        assert np.array_equal(box_vertices(center, 0.1), corner_reference(center, 0.1, cap))
+
     def test_zero_state_error_degenerates_to_center_row(self):
-        zone = SphereZone([0, 0, 0], 1.0)
-        model = AffineModel.integrator(3)
         s = np.array([2.0, 0, 0])
-        rows, rhs, _ = robustify_over_state_box(zone, model, s, ZERO, gamma=1.0)
-        assert rows.shape == (1, 3)
-        G, h = build_constraint(zone, model, s, ZERO, gamma=1.0)
-        assert np.array_equal(rows[0], G) and rhs[0] == h
+        G, h = sphere_shield().constraint_rows(s)
+        assert G.shape == (1, 3)
+        rows, rhs = sphere_shield(bounds=UncertaintyBounds(e_sdot=0.0, e_s=0.01)).constraint_rows(s)
+        assert np.array_equal(rows[0], G[0]) and rhs[0] == h[0]
 
     def test_vertex_count_and_center_first(self):
-        zone = SphereZone([0, 0, 0], 1.0)
-        model = AffineModel.integrator(3)
         bounds = UncertaintyBounds(e_sdot=0.0, e_s=0.01)
-        rows, rhs, _ = robustify_over_state_box(zone, model, np.array([2.0, 0, 0]), bounds, 1.0)
+        rows, rhs = sphere_shield(bounds=bounds).constraint_rows(np.array([2.0, 0, 0]))
         assert rows.shape == (9, 3)  # 2^3 vertices + center
 
     def test_monotone_barrier_binding_vertex(self):
@@ -235,38 +204,25 @@ class TestStateBoxRobustification:
             def value_and_grad_batch(self, Y):
                 return Y[:, 0].copy(), np.ones_like(Y)
 
-        model = AffineModel.integrator(1)
-        bounds = UncertaintyBounds(e_sdot=0.0, e_s=0.25)
-        rows, rhs, _ = robustify_over_state_box(Line(), model, np.array([1.0]), bounds, gamma=2.0)
+        cfg = ShieldConfig(gamma=2.0, constraints=[ConstraintSpec(Line(), "full")])
+        shield = SafetyShield(cfg, models={"full": AffineModel.integrator(1)},
+                              bounds={"full": UncertaintyBounds(e_sdot=0.0, e_s=0.25)})
+        rows, rhs = shield.constraint_rows(np.array([1.0]))
         assert rows.shape == (3, 1)
         assert rhs.min() == pytest.approx(2.0 * (1.0 - 0.25), abs=1e-12)
         assert rhs.max() == pytest.approx(2.0 * (1.0 + 0.25), abs=1e-12)
 
     def test_budget_subsample_deterministic_prefix(self):
-        center = np.zeros(8)
-        v_small = box_vertices(center, 0.1, budget=16)
-        v_large = box_vertices(center, 0.1, budget=64)
-        assert v_small.shape == (17, 8) and v_large.shape == (65, 8)
-        assert np.array_equal(v_small, v_large[:17])  # prefix property
-        # deterministic across calls and all corners distinct
-        assert np.array_equal(v_small, box_vertices(center, 0.1, budget=16))
-        assert len(np.unique(v_large, axis=0)) == 65
-
-    def test_more_vertices_never_enlarge_feasible_set(self):
-        # rows are intersected half-spaces; a bigger budget appends rows, so
-        # any action feasible for the larger set is feasible for the smaller
-        rng = np.random.default_rng(1)
-        zone = SphereZone([0, 0, 0, 0][:3], 1.0)
-        model = AffineModel.integrator(3)
-        bounds = UncertaintyBounds(e_sdot=0.01, e_s=0.05)
-        s = np.array([1.5, 0.3, -0.2])
-        rows_s, rhs_s, _ = robustify_over_state_box(zone, model, s, bounds, 1.0, vertex_budget=4)
-        rows_l, rhs_l, _ = robustify_over_state_box(zone, model, s, bounds, 1.0, vertex_budget=8)
-        assert np.array_equal(rows_s, rows_l[: rows_s.shape[0]])
-        for _ in range(100):
-            a = rng.uniform(-1, 1, 3)
-            if np.all(rows_l @ a <= rhs_l):
-                assert np.all(rows_s @ a <= rhs_s)
+        # 2^n > MAX_BOX_CORNERS: the kept corners are the first ones of the
+        # whole bit-reversed enumeration
+        for n in (7, 8):
+            center = np.zeros(n)
+            v = box_vertices(center, 0.1)
+            assert v.shape == (MAX_BOX_CORNERS + 1, n)
+            assert np.array_equal(v, corner_reference(center, 0.1, 1 << n)[: MAX_BOX_CORNERS + 1])
+            # deterministic across calls and all corners distinct
+            assert np.array_equal(v, box_vertices(center, 0.1))
+            assert len(np.unique(v, axis=0)) == MAX_BOX_CORNERS + 1
 
 
 class TestFilter:
@@ -303,13 +259,11 @@ class TestFilter:
         # closed-form half-space projection to 1e-8
         rng = np.random.default_rng(7)
         shield = sphere_shield(gamma=1.0, a_box=10.0)
-        zone = shield.config.constraints[0].barrier
-        model = shield.models["position"]
         done = 0
         while done < 100:
             s = rng.uniform(1.05, 2.5, 3) * rng.choice([-1.0, 1.0], 3)
             a_des = rng.uniform(-2, 2, 3)
-            G, h = build_constraint(zone, model, s, ZERO, gamma=1.0)
+            G, h = one_row(shield, s)
             viol = float(G @ a_des - h)
             if abs(viol) < 1e-3:  # skip near-degenerate activations
                 continue
@@ -378,14 +332,14 @@ class TestFilter:
 
     def test_nan_action_bound_falls_back(self):
         # a NaN actuator bound reaches the QP as a NaN row, so the filter
-        # takes its fallback step instead of reporting an action past the box
+        # takes its fallback step instead of reporting an action past the box;
+        # the hold action ignores the NaN bound side and stays finite
         shield = sphere_shield()
         shield.config.ub = np.array([np.nan, 1.0, 1.0])
         rep = shield.filter(np.array([2.0, 0.0, 0.0]), np.array([3.0, 0, 0]))
         assert rep.fallback and rep.infeasible
         assert np.isnan(rep.slack_used)
-        assert np.array_equal(rep.a_safe, np.clip(np.zeros(3), shield.config.lb,
-                                                  shield.config.ub), equal_nan=True)
+        assert np.array_equal(rep.a_safe, np.zeros(3))
 
     def test_nan_model_falls_back_instead_of_raising(self):
         # a model whose drift is NaN gives NaN rows: the QP reports status
