@@ -189,6 +189,8 @@ class WaypointTracker:
 
 # -- CLF tracking action ---------------------------------------------------------
 
+CURV_TOL = 1e-12  # ||L_g V||^2 at or below this counts as zero: V has no descent direction
+
 
 @dataclass
 class ClfConfig:
@@ -209,15 +211,12 @@ def clf_action(model: NeuralOdeModel, s, s_des, cfg: ClfConfig) -> np.ndarray:
 
     V = ||c*(s - s_des)||^2, gradV = 2c^2 (s - s_des). The decrease condition
     L_f V + L_g V a + beta V <= 0 is the single row G a <= h with
-    G = L_g V = gradV' g(s), h = -L_f V - beta V, and the minimum-norm action
-    (P = I, q = 0) is its closed form: a = 0 when h >= -FEAS_TOL, otherwise the
-    projection a = (h / ||G||^2) G'. This is qp.solve's first step on the
-    one-row problem, with the same tolerances and the same arithmetic, so the
-    two agree up to the sign of a zero action (the QP would only refine the
-    projection further if its rounding left the row violated by more than
-    FEAS_TOL, which needs |h| of order 1e7). Raises UncontrollableError when
-    the row is violated at a = 0 and ||G||^2 is below the QP's dependence
-    tolerance.
+    G = L_g V = gradV' g(s), h = -L_f V - beta V. Its minimum-norm action is
+    a = 0 when the row holds at a = 0 within qp.FEAS_TOL (h >= -FEAS_TOL), and
+    otherwise the projection of 0 onto the half-space, a = (h / ||G||^2) G'.
+    Raises UncontrollableError when the row is violated at a = 0 and
+    ||G||^2 <= CURV_TOL, where L_g V counts as zero: the projection would need
+    ||a|| = |h| / ||G|| >= 1e6 |h|.
     """
     s = np.asarray(s, dtype=np.float64)
     s_des = np.asarray(s_des, dtype=np.float64)
@@ -231,7 +230,7 @@ def clf_action(model: NeuralOdeModel, s, s_des, cfg: ClfConfig) -> np.ndarray:
     if -h <= qp.FEAS_TOL:
         return np.zeros(model.n_action)
     curv = float(lg_v @ lg_v)
-    if curv <= qp._DEP_TOL:
+    if curv <= CURV_TOL:
         raise UncontrollableError(
             f"uncontrollable descent direction: |L_gV|={np.linalg.norm(lg_v):.3e}, "
             f"L_fV+beta*V={lf_v + cfg.beta * v:.3e}"

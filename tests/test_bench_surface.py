@@ -9,11 +9,13 @@ second, without running the benchmark.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import tracing  # noqa: E402
+from safectl import qp  # noqa: E402
 from safectl.dynamics import NeuralOdeModel  # noqa: E402
 from safectl.shield import SafetyShield  # noqa: E402
 
@@ -52,3 +54,27 @@ def test_probe_patches_names_defined_on_their_owners(shielded):
 def test_single_point_entry_points_exist():
     assert callable(SafetyShield.__dict__.get("constraint_rows"))
     assert callable(NeuralOdeModel.__dict__.get("field"))
+
+
+@pytest.mark.parametrize("feasible,calls", [(True, 1), (False, 2)])
+def test_slack_solve_calls_solve_through_the_module_name(monkeypatch, feasible, calls):
+    # the tracer's qp.rows_per_solve and qp.active_rows_per_solve come from
+    # _solve_counts on each wrapped qp.solve call (problem.G, result.active_set),
+    # and qp.slack_fallbacks counts the qp.solve calls under one solve_with_slack
+    seen = []
+    original = qp.solve
+
+    def counting(problem):
+        result = original(problem)
+        seen.append(tracing._solve_counts((problem,), result))
+        return result
+
+    monkeypatch.setattr(qp, "solve", counting)
+    h = [0.0, 1.0] if feasible else [-1.0, -1.0]  # a1 <= 0 and -a1 <= 1, or a contradiction
+    problem = qp.QpProblem(P=np.eye(2), q=np.array([-2.0, 0.0]), G=[[1.0, 0.0], [-1.0, 0.0]],
+                           h=h, lb=-np.ones(2), ub=np.ones(2))
+    sol = qp.solve_with_slack(problem)
+    assert sol.status == "optimal"
+    assert len(seen) == calls
+    assert all(rows == 2 for rows, _ in seen)
+    assert seen[-1][1] == (1 if feasible else 2)

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from safectl import qp
 from safectl.control import (
+    CURV_TOL,
     ClfConfig,
     KnnExpertPolicy,
     ReferencePath,
@@ -179,9 +180,8 @@ class TestClfAction:
         assert v_prev < 1e-4
 
 
-def clf_qp_reference(model, s, s_des, cfg):
-    """clf_action as the one-row QP it replaced: the decrease row handed to
-    qp.solve with P = I, q = 0."""
+def decrease_row(model, s, s_des, cfg):
+    """The CLF decrease condition as the row L_gV a <= h, with L_fV and V."""
     s = np.asarray(s, dtype=np.float64)
     e = s - np.asarray(s_des, dtype=np.float64)
     v = cfg.c**2 * float(e @ e)
@@ -189,14 +189,26 @@ def clf_qp_reference(model, s, s_des, cfg):
     f, g = model.drift_and_gain(s)
     lf_v = float(grad_v @ f)
     lg_v = grad_v @ g
+    return lg_v, -lf_v - cfg.beta * v, lf_v, v
+
+
+def clf_qp_reference(model, s, s_des, cfg):
+    """clf_action as the one-row QP it stands for: the decrease row handed to
+    qp.solve with P = I, q = 0."""
+    lg_v, h, _, _ = decrease_row(model, s, s_des, cfg)
     sol = qp.solve(qp.QpProblem(P=np.eye(model.n_action), q=np.zeros(model.n_action),
-                                G=lg_v[None, :], h=np.array([-lf_v - cfg.beta * v])))
-    if sol.status != "optimal":
-        raise UncontrollableError(
-            f"uncontrollable descent direction: |L_gV|={np.linalg.norm(lg_v):.3e}, "
-            f"L_fV+beta*V={lf_v + cfg.beta * v:.3e}"
-        )
+                                G=lg_v[None, :], h=np.array([h])))
+    assert sol.status == "optimal"
     return sol.a
+
+
+def assert_matches_qp(got, want):
+    """The zero action exactly (both take it when the row holds at a = 0
+    within qp.FEAS_TOL); the projection within 1e-12 (1 + ||a||)."""
+    if not np.any(want):
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.linalg.norm(want))
 
 
 class TestClfClosedFormMatchesQp:
@@ -215,9 +227,15 @@ class TestClfClosedFormMatchesQp:
         s = rng.uniform(-1.0, 1.0, n_state)
         s_des = s.copy() if at_target else rng.uniform(-1.0, 1.0, n_state)
         cfg = ClfConfig(c=c, beta=beta)
+        try:
+            got = clf_action(model, s, s_des, cfg)
+        except UncontrollableError:
+            lg_v, h, _, _ = decrease_row(model, s, s_des, cfg)
+            assert -h > qp.FEAS_TOL and float(lg_v @ lg_v) <= CURV_TOL
+            return
         want = clf_qp_reference(model, s, s_des, cfg)
-        got = clf_action(model, s, s_des, cfg)
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.shape == want.shape
+        assert_matches_qp(got, want)
 
     @pytest.mark.parametrize("s,active", [
         ([1.0, 0.0, 0.0], True),     # projection branch
@@ -228,7 +246,7 @@ class TestClfClosedFormMatchesQp:
         model = AffineModel(A=0.2 * np.eye(3), B=np.diag([1.0, 0.5, 2.0]))
         cfg = ClfConfig(c=1.5, beta=4.0)
         a = clf_action(model, np.array(s), np.zeros(3), cfg)
-        assert np.array_equal(a, clf_qp_reference(model, np.array(s), np.zeros(3), cfg))
+        assert_matches_qp(a, clf_qp_reference(model, np.array(s), np.zeros(3), cfg))
         assert bool(np.any(a != 0.0)) == active
 
     def test_violation_exactly_at_feasibility_tolerance(self):
@@ -242,22 +260,28 @@ class TestClfClosedFormMatchesQp:
         assert np.array_equal(a_at, np.zeros(3))
         assert np.array_equal(a_at, clf_qp_reference(model, s, s_des, at))
         assert a_above[0] < 0.0
-        assert np.array_equal(a_above, clf_qp_reference(model, s, s_des, above))
+        assert_matches_qp(a_above, clf_qp_reference(model, s, s_des, above))
 
-    @pytest.mark.parametrize("gain,raises", [(0.0, True), (1e-7, True), (1e-5, False)])
+    @pytest.mark.parametrize("gain,raises", [(0.0, True), (1e-7, True), (1e-5, False),
+                                             (4.999e-7, True), (5.001e-7, False)])
     def test_uncontrollable_raise_and_message_match_qp(self, gain, raises):
-        # |L_gV|^2 = 4 gain^2: 4e-14 is below the dependence tolerance 1e-12
+        # |L_gV|^2 = 4 gain^2 crosses CURV_TOL = 1e-12 at gain = 5e-7; below
+        # it clf_action raises (the LDP would still return a huge projection),
+        # above it the action matches qp.solve
         model = AffineModel(A=np.eye(2), B=gain * np.eye(2))
         s, s_des, cfg = np.array([1.0, 0.0]), np.zeros(2), ClfConfig(beta=2.0)
+        lg_v, h, lf_v, v = decrease_row(model, s, s_des, cfg)
+        assert -h > qp.FEAS_TOL  # the row is violated at a = 0
+        assert (float(lg_v @ lg_v) <= CURV_TOL) == raises
         if not raises:
-            assert np.array_equal(clf_action(model, s, s_des, cfg),
-                                  clf_qp_reference(model, s, s_des, cfg))
+            assert_matches_qp(clf_action(model, s, s_des, cfg),
+                              clf_qp_reference(model, s, s_des, cfg))
             return
         with pytest.raises(UncontrollableError) as got:
             clf_action(model, s, s_des, cfg)
-        with pytest.raises(UncontrollableError) as want:
-            clf_qp_reference(model, s, s_des, cfg)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == (
+            f"uncontrollable descent direction: |L_gV|={np.linalg.norm(lg_v):.3e}, "
+            f"L_fV+beta*V={lf_v + cfg.beta * v:.3e}")
 
 
 class TestKnnExpert:
