@@ -6,11 +6,10 @@ reverse exactly once, accumulating vector-Jacobian products. Node values may
 carry a trailing batch dimension, so one tape can differentiate a whole
 minibatch rollout at once.
 
-Training no longer runs on the tape: dynamics._rollout_loss_and_grad computes
-the rollout gradient in one fused pass with the same float64 operations. The
-tape stays as the tests' oracle for that gradient and because the benchmark
-tracer wraps dynamics' imported name `backward`; it goes once the tracer no
-longer needs that name.
+dynamics._rollout_loss_and_grad computes the rollout gradient in one fused
+pass with the float64 operations the tape would perform. The tape and
+TapedMlp are the tests' reference for that gradient, and the benchmark tracer
+wraps dynamics' imported name `backward`.
 
 Conventions fixed here and pinned by the tests:
 - GELU is the tanh approximation, with its exact analytic derivative.
@@ -278,28 +277,15 @@ def init_mlp(n_in: int, n_hidden: int, n_out: int, seed: int = 0) -> MlpParams:
     )
 
 
-def forward_mlp(params: MlpParams, x: np.ndarray, tape: Tape | None = None):
-    """Evaluate the MLP on x of shape (n_in,) or (n_in, B).
-
-    Without a tape this is a plain numpy evaluation; with a tape all
-    intermediates are recorded and a Node is returned. The two paths compute
-    identical values.
-    """
+def forward_mlp(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Evaluate the MLP on x of shape (n_in,) or (n_in, B)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != params.w1.shape[1]:
         raise DimensionError(
             f"forward_mlp: input dim {x.shape[0]} != expected {params.w1.shape[1]}"
         )
-    if tape is None:
-        h = gelu(params.w1 @ x + (params.b1 if x.ndim == 1 else params.b1[:, None]))
-        return params.w2 @ h + (params.b2 if x.ndim == 1 else params.b2[:, None])
-    w1 = tape.param(params.w1)
-    b1 = tape.param(params.b1)
-    w2 = tape.param(params.w2)
-    b2 = tape.param(params.b2)
-    xs = tape.const(x)
-    h = tape.gelu(tape.add_bias(tape.matmul(w1, xs), b1))
-    return tape.add_bias(tape.matmul(w2, h), b2)
+    h = gelu(params.w1 @ x + (params.b1 if x.ndim == 1 else params.b1[:, None]))
+    return params.w2 @ h + (params.b2 if x.ndim == 1 else params.b2[:, None])
 
 
 class TapedMlp:

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 AXIS_EPS = 1e-9
-_TIE_TOL = 1e-12  # relative distance tolerance under which nearest neighbours tie
 
 
 def cross3(a, b):
@@ -158,10 +157,13 @@ class CylinderZone:
 class TaskSpaceBarrier:
     """In-distribution barrier over demonstration states.
 
-    b(s) = radius^2 - ||s - s_nearest||^2 with s_nearest the closest stored
-    state (ties resolve to the lowest index). The gradient treats s_nearest as
-    locally constant, which is exact within a Voronoi cell; a cell change
-    between consecutive evaluations can be detected through nearest().
+    b(s) = radius^2 - ||s - s_nearest||^2 with s_nearest a closest stored state:
+    the max over stored states d_i of the pieces radius^2 - ||s - d_i||^2. So b
+    is no less than any piece, and tied states give pieces of equal value, each
+    a valid active piece (Glotfelter, Cortes & Egerstedt 2017, "Nonsmooth
+    Barrier Functions With Applications to Multi-Robot Systems"); nearest()
+    returns whichever tied state the kd-tree finds. The gradient treats
+    s_nearest as locally constant, exact within a Voronoi cell.
     """
 
     def __init__(self, demo_states, radius: float = 0.5):
@@ -178,30 +180,9 @@ class TaskSpaceBarrier:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def nearest(self, s) -> int:
-        """Index of the nearest stored state, lowest index on exact ties."""
-        s = np.asarray(s, dtype=np.float64)
-        dmin, idx = self._tree.query(s)
-        ball = self._tree.query_ball_point(s, dmin + _TIE_TOL * (1.0 + dmin))
-        if not ball:
-            return int(idx)
-        cand = np.sort(np.asarray(ball, dtype=int))
-        d2 = np.sum((self.states[cand] - s) ** 2, axis=1)
-        return int(cand[np.argmin(d2)])
-
-    def nearest_batch(self, S) -> np.ndarray:
-        """nearest() for every row of S (B, n) with one two-neighbour query.
-
-        A row whose second neighbour lies within twice the tie tolerance of
-        the first goes through nearest() itself, so the lowest-index rule is
-        kept exactly; the factor of two covers the rounding by which the
-        ball query's squared-radius test can differ from query()'s distances.
-        """
-        dist, idx = self._tree.query(S, k=2)
-        idx = idx[:, 0]
-        for i in np.flatnonzero(dist[:, 1] <= dist[:, 0] + 2.0 * _TIE_TOL * (1.0 + dist[:, 0])):
-            idx[i] = self.nearest(S[i])
-        return idx
+    def nearest(self, S) -> np.ndarray:
+        """Index of a nearest stored state for every row of S (B, n)."""
+        return self._tree.query(S)[1]
 
     def value(self, s) -> float:
         return _single(self, s)[0]
@@ -213,7 +194,7 @@ class TaskSpaceBarrier:
         S = np.asarray(S, dtype=np.float64)
         if S.shape[1] != self.dim:
             raise ValueError(f"state dim {S.shape[1]} != barrier dim {self.dim}")
-        d = S - self.states[self.nearest_batch(S)]
+        d = S - self.states[self.nearest(S)]
         return self.radius**2 - np.einsum("ij,ij->i", d, d), -2.0 * d
 
     def hard_value(self, s) -> float:

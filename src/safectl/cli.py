@@ -95,8 +95,14 @@ def _episodes(policy, env_cfg, master: int, groups, n: int, shield=None, path=No
                                       path=path))
 
 
-def _split_from_cfg(cfg, demos):
-    return dyn.split_demos(demos, cfg["train"]["holdout_frac"], seed=cfg["seed"])
+def _split_from_cfg(cfg, demos, need: str):
+    """(training, held-out) demonstrations; ConfigError when side `need` is empty."""
+    frac = cfg["train"]["holdout_frac"]
+    train, held = dyn.split_demos(demos, frac, seed=cfg["seed"])
+    if not (train if need == "training" else held):
+        raise ConfigError(f"{len(demos)} demonstration(s) at train.holdout_frac={frac} "
+                          f"leave no {need} demonstration")
+    return train, held
 
 
 # -- commands --------------------------------------------------------------------
@@ -128,7 +134,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     demos = dyn.load_demos(_need(out / DEMOS, "run gen-demos first"))
-    train_demos, _ = _split_from_cfg(cfg, demos)
+    train_demos, _ = _split_from_cfg(cfg, demos, "training")
     tc = cfgmod.build_train_config(cfg)
     e = cfg["env"]
 
@@ -154,9 +160,9 @@ def cmd_quantify(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     demos = dyn.load_demos(_need(out / DEMOS, "run gen-demos first"))
+    _, held = _split_from_cfg(cfg, demos, "held-out")
     full, _ = dyn.NeuralOdeModel.load(_need(out / MODEL_FULL, "run train first"))
     pos, _ = dyn.NeuralOdeModel.load(_need(out / MODEL_POS, "run train first"))
-    _, held = _split_from_cfg(cfg, demos)
     b_full = dyn.quantify_uncertainty(full, held)
     held_pos = dyn.slice_demos(held, dyn.POSITION_DIMS, dyn.POSITION_DIMS)
     b_pos = dyn.quantify_uncertainty(pos, held_pos)
@@ -248,21 +254,28 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ConfigError("--values must list at least one number")
-
     beta = args.param == "beta"
-    demos, models, bounds = _load_stack(cfg, out, need_models=True, need_bounds=not beta)
-    env_cfg = cfgmod.build_env(cfg)
-    rows = []
-    for v in values:
+    swept = []
+    for text in filter(str.strip, args.values.split(",")):
+        try:
+            v = float(text)
+        except ValueError:
+            v = text  # not a number: the schema says so below
         cfg_v = json.loads(json.dumps(cfg))
         if beta:
             cfg_v["policy"].update(type="clf", beta=v)
             cfg_v["shield"]["enabled"] = False
         else:
             cfg_v["shield"]["gamma"] = v
+        cfgmod.validate(cfg_v)  # for its errors: cfg_v already holds every default
+        swept.append((v, cfg_v))
+    if not swept:
+        raise ConfigError("--values must list at least one number")
+
+    demos, models, bounds = _load_stack(cfg, out, need_models=True, need_bounds=not beta)
+    env_cfg = cfgmod.build_env(cfg)
+    rows = []
+    for v, cfg_v in swept:
         policy, path = cfgmod.build_policy(cfg_v, model_full=models["full"], demos=demos)
         shield = cfgmod.build_shield(cfg_v, models, bounds, demos=demos)
         episodes = _episodes(policy, env_cfg, cfg["seed"], cfg["seeds"], cfg["episodes"],
@@ -316,6 +329,12 @@ def cmd_report(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+def _demo_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"the demo count must be at least 1, got {text}")
+    return int(text)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="safectl",
@@ -335,7 +354,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-demos", help="generate scripted-expert demonstrations")
     common(p)
-    p.add_argument("--n", type=int, default=100, help="number of demonstrations")
+    p.add_argument("--n", type=_demo_count, default=100, help="number of demonstrations")
     p.set_defaults(fn=cmd_gen_demos)
 
     p = sub.add_parser("train", help="train full and position dynamics models")

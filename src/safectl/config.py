@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -115,9 +116,7 @@ SCHEMA = {
                 "batch": {"type": "integer", "minimum": 1},
                 "rollout_h": {"type": "integer", "minimum": 1},
                 "lr": {"type": "number", "exclusiveMinimum": 0},
-                "optimizer": {"enum": ["rmsprop"]},
                 "holdout_frac": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "steps_per_epoch": {"type": ["integer", "null"], "minimum": 1},
             },
             "additionalProperties": False,
         },
@@ -179,9 +178,7 @@ DEFAULTS = {
         "batch": 20,
         "rollout_h": 10,
         "lr": 1e-3,
-        "optimizer": "rmsprop",
         "holdout_frac": 0.2,
-        "steps_per_epoch": None,
     },
     "policy": {
         "type": "knn",
@@ -222,14 +219,28 @@ def _validator():
     return cls(SCHEMA)
 
 
+def _non_finite(node, path=""):
+    """(path, value) of every NaN or infinite number in a parsed config, which
+    the schema's numeric bounds let through (every comparison with NaN is false)."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield path, node
+    elif isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _non_finite(v, f"{path}/{k}" if path else str(k))
+
+
 def validate(raw: dict) -> dict:
     """Validate a raw config dict against the schema and fill defaults.
 
-    Reports the error jsonschema.validate would raise: the best match."""
+    Reports the error jsonschema.validate would raise: the best match; past
+    the schema, the first NaN or infinite number."""
     error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {error.message}") from error
+    bad = next(_non_finite(raw), None)
+    if bad is not None:
+        raise ConfigError(f"config invalid at {bad[0]}: {bad[1]} is not a finite number")
     cfg = _deep_merge(DEFAULTS, raw)
     if cfg["policy"]["type"] == "clf" and "path" not in cfg["policy"]:
         # CLF needs a reference; default to the straight toy path from the start
@@ -299,9 +310,7 @@ def build_train_config(cfg: dict, seed: int | None = None) -> TrainConfig:
         batch=t["batch"],
         rollout_h=t["rollout_h"],
         lr=t["lr"],
-        optimizer=t["optimizer"],
         seed=cfg["seed"] if seed is None else seed,
-        steps_per_epoch=t["steps_per_epoch"],
     )
 
 

@@ -1,19 +1,18 @@
 """Control-affine neural ODE: sdot = drift(s) + gain(s) @ a.
 
 One MLP maps the state to [drift; gain rows] (n_state * (1 + n_action)
-outputs). Training minimises the mean L1 error of multi-step rollouts against
-demonstration segments, differentiating straight through the fixed-step
+outputs). Training minimises the mean L1 error of multi-step rk4 rollouts
+against demonstration segments, differentiating straight through the
 integrator: _rollout_loss_and_grad is one fused forward pass and one
-vector-Jacobian pass over the discrete rollout, whose loss and gradients
-equal reverse-mode autodiff's (the autodiff tape, now the tests' oracle) bit
-for bit. Uncertainty is quantified on held-out
-transitions as worst-case L1 errors of the predicted derivative and of the
-one-step integration, which the safety filter consumes as robustness budgets.
-Those errors are evaluated one demonstration at a time, all of its
-transitions in one batch through drift_and_gain_batch; the bounds are the
-running max over demonstrations. Read as a split-conformal quantile over n
-exchangeable held-out trajectories, each bound covers a fresh trajectory's
-worst transition with probability at least n/(n+1).
+vector-Jacobian pass over the discrete rollout, whose loss and gradients equal
+reverse-mode autodiff's bit for bit. Uncertainty is quantified on held-out
+transitions as worst-case L1 errors of the predicted derivative and of one rk4
+step, which the safety filter consumes as robustness budgets. Those errors
+are evaluated one demonstration at a time, all of its transitions in one batch
+through drift_and_gain_batch; the bounds are the running max over
+demonstrations. Read as a split-conformal quantile over n exchangeable
+held-out trajectories, each bound covers a fresh trajectory's worst transition
+with probability at least n/(n+1).
 """
 
 from __future__ import annotations
@@ -176,28 +175,21 @@ def _step_rk4(field, s, a, dt):
     return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stepper(method: str):
-    stepper = {"euler": _step_euler, "rk4": _step_rk4}.get(method)
-    if stepper is None:
-        raise ValueError(f"unknown method {method!r}")
-    return stepper
-
-
 def integrate(field, s0, actions, dt, method: str = "rk4"):
     """Roll a field sdot = field(s, a) forward with piecewise-constant actions.
 
     field: callable (s, a) -> sdot (a NeuralOdeModel.field works directly).
-    actions: (H, n_action) with one action held constant over each dt, or a
-    single (n_action,) vector broadcast over the horizon.
+    actions: (H, n_action) with one action held constant over each dt; one
+    (n_action,) action is a single step.
     Returns states (H+1, n) including s0.
     """
     s0 = np.asarray(s0, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
-    if actions.ndim == 1:
-        actions = actions[None, :]
+    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     if actions.shape[0] < 1:
         raise ValueError("horizon must be >= 1")
-    stepper = _stepper(method)
+    stepper = {"euler": _step_euler, "rk4": _step_rk4}.get(method)
+    if stepper is None:
+        raise ValueError(f"unknown method {method!r}")
     out = np.empty((actions.shape[0] + 1, s0.shape[0]))
     out[0] = s0
     for t in range(actions.shape[0]):
@@ -294,6 +286,10 @@ def slice_demos(demos, state_dims, action_dims) -> list[Demonstration]:
 # -- training --------------------------------------------------------------------
 
 
+RMS_DECAY = 0.99  # RMSprop's squared-gradient average decay
+RMS_EPS = 1e-8  # RMSprop's denominator offset
+
+
 @dataclass
 class TrainConfig:
     """Multi-step rollout training configuration.
@@ -301,23 +297,18 @@ class TrainConfig:
     One epoch covers the dataset's transitions once in expectation:
     max(1, round(total_transitions / (batch * rollout_h))) gradient updates,
     each on `batch` trajectory segments of length `rollout_h` sampled
-    uniformly with replacement over (trajectory, start index). Override with
-    steps_per_epoch. RMSprop with decay 0.99 and eps 1e-8, no momentum.
+    uniformly with replacement over (trajectory, start index). RMSprop with
+    decay RMS_DECAY and eps RMS_EPS, no momentum.
     """
 
     epochs: int = 200
     batch: int = 20
     rollout_h: int = 10
     lr: float = 1e-3
-    optimizer: str = "rmsprop"
     seed: int = 0
-    method: str = "rk4"
-    rms_decay: float = 0.99
-    rms_eps: float = 1e-8
-    steps_per_epoch: int | None = None
 
 
-def _rollout_loss_and_grad(params: MlpParams, s_batch, a_batch, dt, n_state, method):
+def _rollout_loss_and_grad(params: MlpParams, s_batch, a_batch, dt, n_state):
     """Mean L1 rollout loss of a batch and its gradient [g_w1, g_b1, g_w2, g_b2].
 
     s_batch (h+1, n, B) holds the true states and a_batch (h, m, B) the
@@ -350,14 +341,11 @@ def _rollout_loss_and_grad(params: MlpParams, s_batch, a_batch, dt, n_state, met
     for t in range(h):
         a = a_batch[t]
         k1 = field(s, a)
-        if method == "euler":
-            s = s + k1 * dt
-        else:
-            k2 = field(s + k1 * half, a)
-            k3 = field(s + k2 * half, a)
-            k4 = field(s + k3 * dt, a)
-            # the tape's grouping, which rounds apart from _step_rk4's
-            s = s + ((k1 + (k2 + k3) * 2.0) + k4) * sixth
+        k2 = field(s + k1 * half, a)
+        k3 = field(s + k2 * half, a)
+        k4 = field(s + k3 * dt, a)
+        # the tape's grouping, which rounds apart from _step_rk4's
+        s = s + ((k1 + (k2 + k3) * 2.0) + k4) * sixth
         err = s - s_batch[t + 1]
         term = np.abs(err).sum()
         loss = term if loss is None else loss + term
@@ -394,23 +382,17 @@ def _rollout_loss_and_grad(params: MlpParams, s_batch, a_batch, dt, n_state, met
     # inputs, then the k1 call, then that state's own loss term.
     g_s = scale * np.sign(errs[-1])
     for t in reversed(range(h)):
-        if method == "euler":
-            g_x1 = field_vjp(g_s * dt, t > 0)
-            if t:
-                g_s += g_x1
-        else:
-            g_incr = g_s * sixth
-            g_p23 = g_incr * 2.0
-            g_x4 = field_vjp(g_incr, True)
-            g_x3 = field_vjp(g_p23 + g_x4 * dt, True)
-            g_x2 = field_vjp(g_p23 + g_x3 * half, True)
-            g_x1 = field_vjp(g_incr + g_x2 * half, t > 0)
-            if t:
-                g_s += g_x4
-                g_s += g_x3
-                g_s += g_x2
-                g_s += g_x1
+        g_incr = g_s * sixth
+        g_p23 = g_incr * 2.0
+        g_x4 = field_vjp(g_incr, True)
+        g_x3 = field_vjp(g_p23 + g_x4 * dt, True)
+        g_x2 = field_vjp(g_p23 + g_x3 * half, True)
+        g_x1 = field_vjp(g_incr + g_x2 * half, t > 0)
         if t:
+            g_s += g_x4
+            g_s += g_x3
+            g_s += g_x2
+            g_s += g_x1
             g_s += scale * np.sign(errs[t - 1])
     for g in acc:
         g += 0.0  # the tape sums into zeros, which turns a -0.0 into 0.0
@@ -432,16 +414,13 @@ def train(model: NeuralOdeModel, demos: list[Demonstration], cfg: TrainConfig):
             raise ValueError(f"trajectory {i} shorter than rollout_h={h}")
         if d.dt != demos[0].dt:
             raise ValueError(f"trajectory {i} has dt={d.dt}, expected {demos[0].dt}")
-    if cfg.optimizer != "rmsprop":
-        raise ValueError(f"unsupported optimizer {cfg.optimizer!r}")
-    _stepper(cfg.method)
 
     rng = np.random.default_rng(cfg.seed)
     params = model.params.copy()
     arrs = params.arrays()
     sq_avg = [np.zeros_like(a) for a in arrs]
     n_transitions = sum(len(d.actions) for d in demos)
-    steps = cfg.steps_per_epoch or max(1, round(n_transitions / (cfg.batch * h)))
+    steps = max(1, round(n_transitions / (cfg.batch * h)))
     n, b = model.n_state, cfg.batch
     dt = demos[0].dt
     losses = np.empty(cfg.epochs)
@@ -462,13 +441,13 @@ def train(model: NeuralOdeModel, demos: list[Demonstration], cfg: TrainConfig):
                 axis=2,
             )  # (h, m, B)
 
-            loss, grads = _rollout_loss_and_grad(params, s_batch, a_batch, dt, n, cfg.method)
+            loss, grads = _rollout_loss_and_grad(params, s_batch, a_batch, dt, n)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
             for arr, g, acc in zip(arrs, grads, sq_avg):
-                acc *= cfg.rms_decay
-                acc += (1.0 - cfg.rms_decay) * g * g
-                arr -= cfg.lr * g / (np.sqrt(acc) + cfg.rms_eps)
+                acc *= RMS_DECAY
+                acc += (1.0 - RMS_DECAY) * g * g
+                arr -= cfg.lr * g / (np.sqrt(acc) + RMS_EPS)
             epoch_loss += loss
         losses[epoch] = epoch_loss / steps
 
@@ -509,22 +488,18 @@ def derive_position_model(
 # -- uncertainty -----------------------------------------------------------------
 
 
-def _one_step_errors(model, S, A, S_next, dt, method: str = "rk4"):
-    """Per-coordinate absolute errors of B transitions (S, A) -> S_next, each
-    (B, n): of the field against the forward difference (S_next - S)/dt, and
-    of one integrator step of size dt from the true state S. Every field
-    evaluation is one drift_and_gain_batch call over the whole batch."""
-    stepper = _stepper(method)
+def _one_step_errors(model, S, A, S_next, dt):
+    """Per-coordinate absolute errors of B transitions (S, A) -> S_next, float64
+    arrays, each (B, n): of the field against the forward difference
+    (S_next - S)/dt, and of one rk4 step of size dt from the true state S.
+    Every field evaluation is one drift_and_gain_batch call over the batch."""
 
     def field(X, U):
         f, g = model.drift_and_gain_batch(X)
         return f + (g @ U[:, :, None])[:, :, 0]
 
-    S = np.asarray(S, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    S_next = np.asarray(S_next, dtype=np.float64)
     d_err = np.abs((S_next - S) / dt - field(S, A))
-    s_err = np.abs(S_next - stepper(field, S, A, dt))
+    s_err = np.abs(S_next - _step_rk4(field, S, A, dt))
     return d_err, s_err
 
 
@@ -591,9 +566,7 @@ class UncertaintyBounds:
         )
 
 
-def quantify_uncertainty(
-    model: NeuralOdeModel, eval_demos: list[Demonstration], method: str = "rk4"
-) -> UncertaintyBounds:
+def quantify_uncertainty(model: NeuralOdeModel, eval_demos: list[Demonstration]) -> UncertaintyBounds:
     """Worst-case L1 errors over held-out transitions.
 
     The reference derivative is the forward difference (s_{t+1} - s_t)/dt,
@@ -609,12 +582,10 @@ def quantify_uncertainty(
     as UncertaintyBounds.coverage). It does not extend to trajectories drawn
     differently from the held-out ones, e.g. under another policy or scene.
 
-    Raises ValueError on an empty evaluation set and on a method other than
-    "rk4" or "euler".
+    Raises ValueError on an empty evaluation set.
     """
     if not eval_demos:
         raise ValueError("evaluation set is empty")
-    _stepper(method)
     b = UncertaintyBounds(
         e_sdot=0.0,
         e_s=0.0,
@@ -625,7 +596,7 @@ def quantify_uncertainty(
     for i, d in enumerate(eval_demos):
         if not len(d):
             continue
-        d_err, s_err = _one_step_errors(model, d.states[:-1], d.actions, d.states[1:], d.dt, method)
+        d_err, s_err = _one_step_errors(model, d.states[:-1], d.actions, d.states[1:], d.dt)
         d_l1, s_l1 = d_err.sum(axis=1), s_err.sum(axis=1)
         t = int(d_l1.argmax())
         if b.e_sdot_at is None or d_l1[t] > b.e_sdot:

@@ -251,7 +251,7 @@ def test_criterion_6_gradient_audits():
         a_batch = rng.normal(size=(2, 2, 4))
 
         def rollout_loss():
-            return dyn._rollout_loss_and_grad(p, s_batch, a_batch, 0.1, 3, "rk4")
+            return dyn._rollout_loss_and_grad(p, s_batch, a_batch, 0.1, 3)
 
         _, grads = rollout_loss()
         eps = 1e-5

@@ -47,7 +47,7 @@ def test_forward_matches_straightline_recompute():
         expected = p.w2 @ h + p.b2
         assert np.max(np.abs(forward_mlp(p, x) - expected)) < 1e-12
         tape = Tape()
-        node = forward_mlp(p, x, tape)
+        node = TapedMlp(tape, p)(tape.const(x))
         assert np.max(np.abs(node.value - expected)) < 1e-12
 
 

@@ -119,7 +119,7 @@ class TestTaskSpace:
         barrier = TaskSpaceBarrier(states, radius=0.5)
         b, grad = barrier.value_and_grad(np.zeros(4))
         assert b == pytest.approx(0.25, abs=1e-14)
-        assert barrier.nearest(np.zeros(4)) == 0
+        assert barrier.nearest(np.zeros((1, 4))).tolist() == [0]
         assert np.allclose(grad, 0.0)
 
     def test_boundary_is_zero(self):
@@ -135,15 +135,14 @@ class TestTaskSpace:
             # independent linear scan
             d2 = np.sum((states - s) ** 2, axis=1)
             idx = int(np.argmin(d2))
-            assert barrier.nearest(s) == idx
+            assert barrier.nearest(s[None]).tolist() == [idx]
             assert barrier.value(s) == pytest.approx(0.25 - d2[idx], abs=1e-12)
 
-    def test_tie_resolves_to_lowest_index(self):
+    def test_tie_returns_a_nearest_state(self):
         states = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
         barrier = TaskSpaceBarrier(states, radius=0.5)
-        assert barrier.nearest(np.zeros(2)) in (0, 1)  # equidistant pair
-        assert barrier.nearest(np.zeros(2)) == 0
-        assert barrier.nearest(np.array([0.9, 0.0])) == 0  # exact duplicate: first
+        # an equidistant pair, then a point nearest to an exact duplicate
+        assert_at_a_nearest_state(barrier, np.array([[0.0, 0.0], [0.9, 0.0]]))
 
     def test_gradient_vs_fd_away_from_cell_boundaries(self):
         rng = np.random.default_rng(5)
@@ -211,9 +210,23 @@ def cylinder_reference(zone, x):
 
 
 def task_space_reference(barrier, s):
-    idx = barrier.nearest(s)
+    idx = int(barrier.nearest(s[None])[0])
     d = np.asarray(s, dtype=np.float64) - barrier.states[idx]
     return float(barrier.radius**2 - d @ d), -2.0 * d, idx
+
+
+def assert_at_a_nearest_state(barrier, X):
+    """nearest(X) picks, for every row, a stored state at the minimum distance
+    (any one of them on a tie), and b and its gradient are that state's."""
+    idx = barrier.nearest(X)
+    b, grad = barrier.value_and_grad_batch(X)
+    for i, x in enumerate(X):
+        d2 = np.sum((barrier.states - x) ** 2, axis=1)
+        assert d2[idx[i]] <= d2.min() + 1e-12
+        d = x - barrier.states[idx[i]]
+        assert abs(b[i] - (barrier.radius**2 - d @ d)) <= 1e-12
+        assert np.max(np.abs(grad[i] + 2.0 * d)) <= 1e-12
+    return idx
 
 
 def assert_batch_matches(barrier, reference, X):
@@ -274,25 +287,18 @@ class TestBatchedEvaluation:
         states[100:110] = states[:10]  # exact duplicate demo states
         barrier = TaskSpaceBarrier(states, radius=0.5)
         X = np.vstack([X, states[100:105]])  # queries sitting on duplicates
-        b, grad = barrier.value_and_grad_batch(X)
-        idx = barrier.nearest_batch(X)
-        for i, x in enumerate(X):
-            b_ref, g_ref, i_ref = task_space_reference(barrier, x)
-            assert idx[i] == i_ref
-            assert abs(b[i] - b_ref) <= 1e-12 and np.max(np.abs(grad[i] - g_ref)) <= 1e-12
-        assert np.all(idx[-5:] == np.arange(5))  # the duplicate's lower index wins
+        assert_at_a_nearest_state(barrier, X)
         assert_batch_matches(barrier, task_space_reference, X)
 
-    def test_task_space_equidistant_ties_take_lowest_index(self):
+    def test_task_space_equidistant_ties_take_a_nearest_state(self):
         # each query is equidistant from a symmetric pair (and, at the origin,
-        # from all four states); the lowest index must win in every row
+        # from all four states), or sits nearest to an exact duplicate
         states = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
         barrier = TaskSpaceBarrier(states, radius=0.5)
         X = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5],
                       [0.0, 0.3], [0.3, 0.0], [0.9, 0.0]])
-        idx = barrier.nearest_batch(X)
-        assert idx.tolist() == [barrier.nearest(x) for x in X]
-        assert idx.tolist() == [0, 0, 1, 1, 0, 2, 0, 0]
+        idx = assert_at_a_nearest_state(barrier, X)
+        assert idx.tolist() == [barrier.nearest(x[None])[0] for x in X]
 
     def test_task_space_single_demo_state(self):
         barrier = TaskSpaceBarrier(np.zeros((1, 3)), radius=0.5)

@@ -236,6 +236,23 @@ class TestSweepAndReport:
         assert rows[0] == "beta,tracking_dev_m"
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("param,values,where", [
+        ("gamma", "-1", "shield/gamma: -1.0 is less than or equal to the minimum of 0"),
+        ("gamma", "abc", "shield/gamma: 'abc' is not of type 'number'"),
+        ("gamma", "10,nan", "shield/gamma: nan is not a finite number"),
+        ("beta", "5,0", "policy/beta: 0.0 is less than or equal to the minimum of 0"),
+    ])
+    def test_sweep_value_outside_the_schema_exits_2(self, workdir, param, values, where):
+        root, cfg_path, out = workdir
+        csv = out / f"sweep_{param}.csv"
+        before = csv.read_bytes() if csv.exists() else None
+        proc = run_cli("sweep", "--config", str(cfg_path), "--out", str(out),
+                       "--param", param, "--values", values, "--episodes", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert f"config invalid at {where}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (csv.read_bytes() if csv.exists() else None) == before
+
     def test_report_aggregates(self, workdir):
         root, cfg_path, out = workdir
         proc = run_cli("report", "--out", str(out))
@@ -246,6 +263,33 @@ class TestSweepAndReport:
     def test_report_on_empty_dir_exits_3(self, tmp_path):
         proc = run_cli("report", "--out", str(tmp_path / "nothing"))
         assert proc.returncode == 3
+
+
+class TestDemoCounts:
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_gen_demos_rejects_a_count_below_one(self, tmp_path, n):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(BASE_CONFIG))
+        proc = run_cli("gen-demos", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n", n)
+        assert proc.returncode == 2
+        assert f"the demo count must be at least 1, got {n}" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("n,cmd,extra,side", [
+        ("1", "quantify", [], "1 demonstration(s) at train.holdout_frac=0.2 leave no held-out"),
+        ("2", "train", ["--set", "train.holdout_frac=0.9"],
+         "2 demonstration(s) at train.holdout_frac=0.9 leave no training"),
+    ])
+    def test_empty_side_of_the_split_exits_2(self, tmp_path, n, cmd, extra, side):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(BASE_CONFIG))
+        out = tmp_path / "o"
+        assert run_cli("gen-demos", "--config", str(cfg), "--out", str(out), "--n", n).returncode == 0
+        proc = run_cli(cmd, "--config", str(cfg), "--out", str(out), *extra)
+        assert proc.returncode == 2, proc.stderr
+        assert side in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["demos.jsonl"]
 
 
 # -- the shared episode loop against the nested loops it replaced ---------------
