@@ -3,8 +3,11 @@
 Subcommands: gen-demos, train, quantify, run, sweep, report. All artifact
 paths are relative to --out. The environment variable SSP_SEED overrides the
 master seed; explicit flags override config-file values which override
-defaults. Exit codes: 0 success, 2 config error, 3 missing dependency,
-4 threshold failure.
+defaults. Exit codes: 0 success, 2 config error, 3 missing or unreadable
+dependency artifact, 4 threshold failure.
+
+train parses only the training side of demos.jsonl and quantify only the
+held-out side; run and sweep parse every line.
 
 gen-demos, run and sweep roll episodes through one loop, `_episodes`: episode
 i of seed group g runs on seed (master, g, i), against the config's reference
@@ -95,14 +98,32 @@ def _episodes(policy, env_cfg, master: int, groups, n: int, shield=None, path=No
                                       path=path))
 
 
-def _split_from_cfg(cfg, demos, need: str):
-    """(training, held-out) demonstrations; ConfigError when side `need` is empty."""
+def _demos(path: Path, lines) -> list:
+    """Parse dyn.demo_lines entries; a line that is not a demonstration is an
+    artifact to make again, named by its line number."""
+    demos = []
+    for lineno, line in lines:
+        try:
+            demos.append(dyn.parse_demo(line))
+        except ValueError as e:
+            raise MissingArtifact(f"{path.name} line {lineno} is not a demonstration ({e}); "
+                                  f"run gen-demos again (in {path.parent})") from e
+    return demos
+
+
+def _demo_side(cfg, path: Path, need: str) -> list:
+    """The demonstrations on side `need` ("training" or "held-out") of the
+    config's split of the demos file, in file order; ConfigError when that
+    side is empty. The split is taken on line numbers, so the other side's
+    lines are neither parsed nor held."""
+    numbers = [i for i, _ in dyn.demo_lines(path)]
     frac = cfg["train"]["holdout_frac"]
-    train, held = dyn.split_demos(demos, frac, seed=cfg["seed"])
-    if not (train if need == "training" else held):
-        raise ConfigError(f"{len(demos)} demonstration(s) at train.holdout_frac={frac} "
+    train, held = dyn.split_demos(numbers, frac, seed=cfg["seed"])
+    keep = set(train if need == "training" else held)
+    if not keep:
+        raise ConfigError(f"{len(numbers)} demonstration(s) at train.holdout_frac={frac} "
                           f"leave no {need} demonstration")
-    return train, held
+    return _demos(path, ((i, line) for i, line in dyn.demo_lines(path) if i in keep))
 
 
 # -- commands --------------------------------------------------------------------
@@ -133,9 +154,12 @@ def cmd_gen_demos(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
-    demos = dyn.load_demos(_need(out / DEMOS, "run gen-demos first"))
-    train_demos, _ = _split_from_cfg(cfg, demos, "training")
+    train_demos = _demo_side(cfg, _need(out / DEMOS, "run gen-demos first"), "training")
     tc = cfgmod.build_train_config(cfg)
+    shortest = min(len(d) for d in train_demos)
+    if shortest < tc.rollout_h:
+        raise ConfigError(f"train.rollout_h={tc.rollout_h} exceeds the shortest training "
+                          f"demonstration ({shortest} steps)")
     e = cfg["env"]
 
     model = dyn.NeuralOdeModel.create(
@@ -159,8 +183,7 @@ def cmd_train(args) -> int:
 def cmd_quantify(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
-    demos = dyn.load_demos(_need(out / DEMOS, "run gen-demos first"))
-    _, held = _split_from_cfg(cfg, demos, "held-out")
+    held = _demo_side(cfg, _need(out / DEMOS, "run gen-demos first"), "held-out")
     full, _ = dyn.NeuralOdeModel.load(_need(out / MODEL_FULL, "run train first"))
     pos, _ = dyn.NeuralOdeModel.load(_need(out / MODEL_POS, "run train first"))
     b_full = dyn.quantify_uncertainty(full, held)
@@ -174,7 +197,8 @@ def cmd_quantify(args) -> int:
 
 
 def _load_stack(cfg, out: Path, need_models: bool, need_bounds: bool):
-    demos = dyn.load_demos(_need(out / DEMOS, "run gen-demos first"))
+    path = _need(out / DEMOS, "run gen-demos first")
+    demos = _demos(path, dyn.demo_lines(path))  # the kNN policy and task space need them all
     models = bounds = None
     if need_models:
         full, _ = dyn.NeuralOdeModel.load(_need(out / MODEL_FULL, "run train first"))

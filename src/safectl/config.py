@@ -233,7 +233,8 @@ def validate(raw: dict) -> dict:
     """Validate a raw config dict against the schema and fill defaults.
 
     Reports the error jsonschema.validate would raise: the best match; past
-    the schema, the first NaN or infinite number."""
+    the schema, the first NaN or infinite number, then an env.start longer
+    than env.n_state."""
     error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
@@ -242,6 +243,11 @@ def validate(raw: dict) -> dict:
     if bad is not None:
         raise ConfigError(f"config invalid at {bad[0]}: {bad[1]} is not a finite number")
     cfg = _deep_merge(DEFAULTS, raw)
+    e = cfg["env"]
+    if len(e["start"]) > e["n_state"]:
+        # build_env pads a short start with zeros; a long one fits no state
+        raise ConfigError(f"config invalid at env/start: {len(e['start'])} entries "
+                          f"for env.n_state={e['n_state']}")
     if cfg["policy"]["type"] == "clf" and "path" not in cfg["policy"]:
         # CLF needs a reference; default to the straight toy path from the start
         cfg["policy"]["path"] = {"type": "straight"}

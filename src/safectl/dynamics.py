@@ -245,21 +245,33 @@ def save_demos(path, demos: list[Demonstration]):
             f.write("\n")
 
 
+def demo_lines(path):
+    """Yield (1-based line number, raw bytes) of each nonblank line of a demos
+    file, undecoded and unparsed, one line held at a time. split_demos splits
+    a list of their line numbers as it splits demonstrations, so a stage can
+    parse only the side of the split it uses."""
+    with open(path, "rb") as f:
+        for i, line in enumerate(f, 1):
+            if line.strip():
+                yield i, line
+
+
+def parse_demo(line: str | bytes) -> Demonstration:
+    """One demos-file line as a Demonstration; ValueError (a bad UTF-8 byte
+    included) when it is not one."""
+    rec = json.loads(line)
+    try:
+        return Demonstration(
+            states=np.asarray(rec["states"]),
+            actions=np.asarray(rec["actions"]),
+            dt=float(rec["dt"]),
+        )
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"not a demonstration record ({type(e).__name__}: {e})") from e
+
+
 def load_demos(path) -> list[Demonstration]:
-    demos = []
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            demos.append(
-                Demonstration(
-                    states=np.asarray(rec["states"]),
-                    actions=np.asarray(rec["actions"]),
-                    dt=float(rec["dt"]),
-                )
-            )
-    return demos
+    return [parse_demo(line) for _, line in demo_lines(path)]
 
 
 def split_demos(demos, holdout_frac: float = 0.2, seed: int = 0):

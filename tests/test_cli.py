@@ -194,6 +194,8 @@ class TestConfigValidation:
         (lambda c: c.update(version=2), "version"),
         (lambda c: c["env"]["zones"].append({"type": "sphere", "center": [0, 0, 0]}), "zones"),
         (lambda c: c.update(unknown_field=1), "unknown_field"),
+        (lambda c: c["env"].update(start=[0.05, 0.05, 0.05, 0.0, 0.0, 0.0]),
+         "env/start: 6 entries"),
     ])
     def test_invalid_config_exits_2_before_work(self, tmp_path, mutate, fragment):
         cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -204,6 +206,8 @@ class TestConfigValidation:
         proc = run_cli("gen-demos", "--config", str(cfg_path), "--out", str(out), "--n", "1")
         assert proc.returncode == 2
         assert "config" in proc.stderr.lower()
+        assert fragment in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (out / "demos.jsonl").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
@@ -288,6 +292,19 @@ class TestDemoCounts:
         proc = run_cli(cmd, "--config", str(cfg), "--out", str(out), *extra)
         assert proc.returncode == 2, proc.stderr
         assert side in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["demos.jsonl"]
+
+    def test_rollout_longer_than_the_demos_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(BASE_CONFIG))
+        out = tmp_path / "o"
+        assert run_cli("gen-demos", "--config", str(cfg), "--out", str(out), "--n", "2").returncode == 0
+        proc = run_cli("train", "--config", str(cfg), "--out", str(out),
+                       "--set", "train.rollout_h=150")
+        assert proc.returncode == 2, proc.stderr
+        assert ("train.rollout_h=150 exceeds the shortest training demonstration (100 steps)"
+                in proc.stderr)
         assert "Traceback" not in proc.stderr
         assert sorted(p.name for p in out.iterdir()) == ["demos.jsonl"]
 
@@ -472,3 +489,125 @@ class TestEpisodeLoop:
                        "--out", str(tmp_path / "o"), "--n", "20")
         assert proc.returncode == 0, proc.stderr
         assert "(20/20 reached the goal)" in proc.stdout
+
+
+# -- each stage parses only the demonstrations it uses ---------------------------
+
+
+def count_parses(monkeypatch):
+    """Count dyn.parse_demo calls from here on."""
+    calls = []
+    parse = dyn.parse_demo
+
+    def counted(line):
+        calls.append(line)
+        return parse(line)
+
+    monkeypatch.setattr(dyn, "parse_demo", counted)
+    return calls
+
+
+BASE_CONFIG_HOLDOUT = cfgmod.DEFAULTS["train"]["holdout_frac"]
+
+
+def split_sizes(n):
+    train, held = dyn.split_demos(list(range(n)), BASE_CONFIG_HOLDOUT, seed=BASE_CONFIG["seed"])
+    return len(train), len(held)
+
+
+def bounds_text(bounds):
+    return json.dumps(bounds.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+class TestStagesParseTheirSide:
+    def test_quantify_parses_the_held_out_demos_alone(self, staged, monkeypatch):
+        out, write_config = staged
+        cfg = write_config(BASE_CONFIG)
+        for name in ("bounds_full.json", "bounds_pos.json"):
+            (out / name).unlink()
+        calls = count_parses(monkeypatch)
+        assert cli.main(["quantify", "--config", str(cfg), "--out", str(out)]) == 0
+        n_train, n_held = split_sizes(20)
+        assert (n_train, n_held) == (16, 4)
+        assert len(calls) == n_held
+
+        _, held = dyn.split_demos(dyn.load_demos(out / "demos.jsonl"), BASE_CONFIG_HOLDOUT,
+                                  seed=BASE_CONFIG["seed"])
+        full, _ = dyn.NeuralOdeModel.load(out / "model_full.bin")
+        pos, _ = dyn.NeuralOdeModel.load(out / "model_pos.bin")
+        expected = {
+            "bounds_full.json": dyn.quantify_uncertainty(full, held),
+            "bounds_pos.json": dyn.quantify_uncertainty(
+                pos, dyn.slice_demos(held, dyn.POSITION_DIMS, dyn.POSITION_DIMS)),
+        }
+        for name, bounds in expected.items():
+            assert (out / name).read_text() == bounds_text(bounds), name
+
+    def test_train_parses_the_training_demos_alone(self, staged, monkeypatch, tmp_path):
+        out, write_config = staged
+        cfg_path = write_config(BASE_CONFIG)
+        calls = count_parses(monkeypatch)
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(calls) == split_sizes(20)[0]
+        monkeypatch.undo()
+
+        cfg = cfgmod.validate(copy.deepcopy(BASE_CONFIG))
+        train_demos, _ = dyn.split_demos(dyn.load_demos(out / "demos.jsonl"),
+                                         BASE_CONFIG_HOLDOUT, seed=cfg["seed"])
+        tc = cfgmod.build_train_config(cfg)
+        e = cfg["env"]
+        model = dyn.NeuralOdeModel.create(n_state=e["n_state"], n_action=e["n_action"],
+                                          hidden=cfg["model"]["hidden"], dt=e["dt"],
+                                          seed=cfg["model"]["seed"])
+        trained, losses = dyn.train(model, train_demos, tc)
+        extra = {"train_seed": tc.seed, "holdout_frac": BASE_CONFIG_HOLDOUT}
+        ref = tmp_path / "reference"
+        ref.mkdir()
+        trained.save(ref / "model_full.bin", extra=extra)
+        cli._write_loss_csv(ref / "loss_full.csv", losses)
+        pos_model, pos_losses = dyn.derive_position_model(model, train_demos, tc)
+        pos_model.save(ref / "model_pos.bin", extra=extra)
+        cli._write_loss_csv(ref / "loss_pos.csv", pos_losses)
+        for name in ("model_full.bin", "loss_full.csv", "model_pos.bin", "loss_pos.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def truncate_line(path, lineno):
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1][: len(lines[lineno - 1]) // 2] + b"\n"
+    path.write_bytes(b"".join(lines))
+
+
+def bad_byte_in_line(path, lineno):
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1].replace(b"0.", b"0.\xff", 1)
+    path.write_bytes(b"".join(lines))
+
+
+class TestMalformedDemoLine:
+    @pytest.mark.parametrize("corrupt", [truncate_line, bad_byte_in_line])
+    def test_run_names_a_corrupt_last_line_and_exits_3(self, staged, corrupt):
+        out, write_config = staged
+        corrupt(out / "demos.jsonl", 20)
+        proc = run_cli("run", "--config", str(write_config(BASE_CONFIG)), "--out", str(out),
+                       "--episodes", "1")
+        assert proc.returncode == 3, proc.stderr
+        assert "demos.jsonl line 20 is not a demonstration" in proc.stderr
+        assert "run gen-demos again" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("side", ["training", "held-out"])
+    def test_quantify_reports_only_the_lines_it_parses(self, staged, capsys, side):
+        out, write_config = staged
+        train, held = dyn.split_demos(list(range(1, 21)), BASE_CONFIG_HOLDOUT,
+                                      seed=BASE_CONFIG["seed"])
+        lineno = (train if side == "training" else held)[-1]
+        truncate_line(out / "demos.jsonl", lineno)
+        code = cli.main(["quantify", "--config", str(write_config(BASE_CONFIG)),
+                         "--out", str(out)])
+        if side == "training":
+            assert code == cli.EXIT_OK
+        else:
+            assert code == cli.EXIT_MISSING
+            assert f"demos.jsonl line {lineno} is not a demonstration" in capsys.readouterr().err

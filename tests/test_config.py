@@ -122,3 +122,15 @@ def test_non_finite_number_in_a_config_file_is_rejected(tmp_path):
     p.write_text('{"version": 1, "env": {"task": "reach", "obs_noise": NaN}}')
     with pytest.raises(ConfigError, match="^config invalid at env/obs_noise: nan is not a finite"):
         config.load(p)
+
+
+def test_start_longer_than_the_state_is_rejected():
+    # build_env pads a short start with zeros but cannot fit a long one
+    raw = bad(["env", "start"], [0.05, 0.05, 0.05, 0.0, 0.0, 0.0])
+    with pytest.raises(ConfigError, match=r"^config invalid at env/start: 6 entries "
+                                          r"for env\.n_state=4$"):
+        config.validate(raw)
+    raw["env"]["n_state"] = 6
+    assert config.validate(raw)["env"]["start"] == [0.05, 0.05, 0.05, 0.0, 0.0, 0.0]
+    short = config.validate(bad(["env", "start"], [0.05, 0.05, 0.05]))
+    assert list(config.build_env(short).start) == [0.05, 0.05, 0.05, 0.0]

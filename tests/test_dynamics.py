@@ -119,6 +119,34 @@ class TestDemonstration:
         dyn.save_demos(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_load_is_parse_of_each_nonblank_line(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "demos.jsonl"
+        dyn.save_demos(path, linear_demos(rng, lambda s, a: a, 3, steps=4))
+        first, second, third = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"\n" + first + b"  \n" + second + third + b"\n")
+        lines = list(dyn.demo_lines(path))
+        assert lines == [(2, first), (4, second), (5, third)]
+        loaded = dyn.load_demos(path)
+        composed = [dyn.parse_demo(text) for _, text in lines]
+        assert len(loaded) == len(composed) == 3
+        for a, b in zip(loaded, composed):
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.actions.tobytes() == b.actions.tobytes()
+            assert a.dt == b.dt
+
+    @pytest.mark.parametrize("line", [
+        '{"dt": 0.1, "states": [[0.0]',                         # truncated
+        '[1, 2]',                                              # not an object
+        '{"dt": 0.1, "states": [[0.0], [1.0]]}',               # no actions
+        '{"dt": null, "states": [[0.0], [1.0]], "actions": [[0.0]]}',
+        '{"dt": 0.1, "states": [[0.0], [1.0]], "actions": [[0.0], [1.0]]}',
+        b'{"dt": 0.1, "states": [[0.\xff], [1.0]], "actions": [[0.0]]}',  # not UTF-8
+    ])
+    def test_parse_demo_rejects_a_bad_line_with_value_error(self, line):
+        with pytest.raises(ValueError):
+            dyn.parse_demo(line)
+
 
 class TestTrain:
     def test_linear_system_loss_drops_below_tenth(self):
