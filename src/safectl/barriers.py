@@ -50,10 +50,6 @@ class SphereZone:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
     def value(self, x) -> float:
         return _single(self, x)[0]
 
@@ -94,10 +90,6 @@ class CylinderZone:
         self.tau = float(tau)
         if self.radius <= 0 or self.length <= 0 or self.tau <= 0:
             raise ValueError("radius, length and tau must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.point.shape[0]
 
     def _off_axis(self, rel: np.ndarray, on_axis: np.ndarray) -> np.ndarray:
         """rel (B, 3) with the rows flagged on_axis nudged radially off the

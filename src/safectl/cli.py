@@ -77,16 +77,15 @@ def _load_config(args) -> dict:
         cfgmod.set_by_dotted_path(overrides, key, val)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "episodes", None) is not None:
-        overrides["episodes"] = args.episodes
-    cfg = cfgmod.load(args.config, overrides)
     env_seed = os.environ.get("SSP_SEED")
     if env_seed is not None:
         try:
-            cfg["seed"] = int(env_seed)
+            overrides["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"SSP_SEED must be an integer, got {env_seed!r}")
-    return cfg
+    if getattr(args, "episodes", None) is not None:
+        overrides["episodes"] = args.episodes
+    return cfgmod.load(args.config, overrides)
 
 
 def _episodes(policy, env_cfg, master: int, groups, n: int, shield=None, path=None):

@@ -16,7 +16,7 @@ import jsonschema
 import numpy as np
 
 from .barriers import TaskSpaceBarrier, zone_from_config
-from .control import ClfConfig, KnnExpertPolicy, ScriptedExpert, path_from_config
+from .control import KnnExpertPolicy, ScriptedExpert, path_from_config
 from .dynamics import TrainConfig
 from .shield import ConstraintSpec, SafetyShield, ShieldConfig
 from .sim import ClfPolicy, EnvConfig, KnnPolicy, ScriptedPolicy
@@ -95,8 +95,6 @@ SCHEMA = {
                 "object": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
                 "goal_tol": {"type": "number", "exclusiveMinimum": 0},
                 "latch_tol": {"type": "number", "exclusiveMinimum": 0},
-                "A": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-                "B": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
                 "zones": {"type": "array", "items": ZONE_SCHEMA},
             },
             "additionalProperties": False,
@@ -125,9 +123,6 @@ SCHEMA = {
             "properties": {
                 "type": {"enum": ["clf", "knn", "scripted"]},
                 "beta": {"type": "number", "exclusiveMinimum": 0},
-                "c": {"type": "number", "exclusiveMinimum": 0},
-                "advance_threshold": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "advance_exponent": {"type": "number", "exclusiveMinimum": 0},
                 "knn_neighbors": {"type": "integer", "minimum": 1},
                 "dither": {"type": "number", "minimum": 0},
                 "expert_gain": {"type": "number", "exclusiveMinimum": 0},
@@ -183,9 +178,6 @@ DEFAULTS = {
     "policy": {
         "type": "knn",
         "beta": 15.0,
-        "c": 1.0,
-        "advance_threshold": None,
-        "advance_exponent": 2.0,
         "knn_neighbors": 5,
         "dither": 0.02,
         "expert_gain": 2.0,
@@ -291,8 +283,6 @@ def build_env(cfg: dict, with_zones: bool = True) -> EnvConfig:
         n_state=e["n_state"],
         n_action=e["n_action"],
         dt=e["dt"],
-        A=np.asarray(e["A"], dtype=np.float64) if "A" in e else None,
-        B=np.asarray(e["B"], dtype=np.float64) if "B" in e else None,
         w_max=e["w_max"],
         disturbance_mode=e["disturbance_mode"],
         obs_noise=e["obs_noise"],
@@ -300,7 +290,7 @@ def build_env(cfg: dict, with_zones: bool = True) -> EnvConfig:
         horizon=e["horizon"],
         task=e["task"],
         zones=e["zones"] if with_zones else [],
-        goal=np.asarray(e["goal"], dtype=np.float64) if "goal" in e else None,
+        goal=np.asarray(e["goal"], dtype=np.float64),
         start=start,
         start_spread=e["start_spread"],
         obj=np.asarray(e["object"], dtype=np.float64) if "object" in e else None,
@@ -327,7 +317,7 @@ def build_path(cfg: dict):
     pc = dict(p)
     if pc.get("type") == "straight" and "start" not in pc:
         pc["start"] = list(cfg["env"]["start"][:3])
-        if "direction" not in pc and "goal" in cfg["env"]:
+        if "direction" not in pc:
             d = np.asarray(cfg["env"]["goal"]) - np.asarray(cfg["env"]["start"][:3])
             pc["direction"] = d.tolist()
             pc.setdefault("length", float(np.linalg.norm(d)))
@@ -336,8 +326,6 @@ def build_path(cfg: dict):
 
 def build_expert(cfg: dict) -> ScriptedExpert:
     e, p = cfg["env"], cfg["policy"]
-    if "goal" not in e:
-        raise ConfigError("scripted expert requires env.goal")
     return ScriptedExpert(
         goal=np.asarray(e["goal"], dtype=np.float64),
         a_max=e["a_max"],
@@ -365,13 +353,7 @@ def build_policy(cfg: dict, model_full=None, demos=None):
             raise ConfigError("clf policy requires the trained full-state model")
         if path is None:
             raise ConfigError("clf policy requires policy.path")
-        clf_cfg = ClfConfig(
-            c=cfg["policy"]["c"],
-            beta=cfg["policy"]["beta"],
-            threshold=cfg["policy"]["advance_threshold"],
-            exponent=cfg["policy"]["advance_exponent"],
-        )
-        return ClfPolicy(model_full, path, clf_cfg), path
+        return ClfPolicy(model_full, path, cfg["policy"]["beta"]), path
     raise ConfigError(f"unknown policy type {kind!r}")
 
 

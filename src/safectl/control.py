@@ -1,7 +1,7 @@
 """Nominal-action generators.
 
 - WaypointTracker + clf_action: reference-path follower. A quadratic Lyapunov
-  function V(s) = ||c*(s - s_des)||^2 is driven down by the minimum-norm
+  function V(s) = ||s - s_des||^2 is driven down by the minimum-norm
   action satisfying the exponential decrease condition
   Vdot + beta*V <= 0, expanded through the learned control-affine model. With
   one row and P = I the minimum-norm action is a projection with a closed form
@@ -47,15 +47,6 @@ class ReferencePath:
 
     def __len__(self) -> int:
         return self.waypoints.shape[0]
-
-    def mean_spacing(self) -> float:
-        return float(
-            np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1).mean()
-        )
-
-    def default_advance_threshold(self) -> float:
-        """10% of the mean waypoint spacing, applied to squared distance."""
-        return 0.1 * self.mean_spacing() ** 2
 
     def arc_length(self) -> float:
         return float(np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1).sum())
@@ -147,43 +138,36 @@ def path_from_config(cfg: dict, n_state: int) -> ReferencePath:
     return ReferencePath(w)
 
 
-def select_waypoint(path: ReferencePath, s, current_index: int, threshold: float,
-                    exponent: float = 2.0):
+def select_waypoint(path: ReferencePath, s, current_index: int, threshold: float):
     """Pick the desired waypoint for the current state.
 
     Starting from the waypoint nearest to s at or after current_index (never
     backtracking on self-intersecting paths), advance past every waypoint
-    closer than the threshold in ||s - w||^exponent. Returns
-    (s_des, new_index, terminal); the index is non-decreasing across calls and
-    terminal is set once the final waypoint is inside the threshold.
+    closer than the threshold in squared distance ||s - w||^2. Returns
+    (s_des, new_index); the index is non-decreasing across calls.
     """
     w = path.waypoints
     last = len(w) - 1
     current_index = int(np.clip(current_index, 0, last))
     d = np.linalg.norm(w[current_index:] - np.asarray(s, dtype=np.float64), axis=1)
     i = current_index + int(np.argmin(d))
-    while i < last and np.linalg.norm(s - w[i]) ** exponent < threshold:
+    while i < last and np.linalg.norm(s - w[i]) ** 2 < threshold:
         i += 1
-    terminal = i == last and np.linalg.norm(s - w[i]) ** exponent < threshold
-    return w[i], i, terminal
+    return w[i], i
 
 
 class WaypointTracker:
-    """Episode-local waypoint cursor (one owner per episode)."""
+    """Episode-local waypoint cursor (one owner per episode). It advances past
+    waypoints closer than 10% of the mean waypoint spacing, squared."""
 
-    def __init__(self, path: ReferencePath, threshold: float | None = None,
-                 exponent: float = 2.0):
+    def __init__(self, path: ReferencePath):
         self.path = path
-        self.threshold = path.default_advance_threshold() if threshold is None else float(threshold)
-        self.exponent = float(exponent)
+        spacing = float(np.linalg.norm(np.diff(path.waypoints, axis=0), axis=1).mean())
+        self.threshold = 0.1 * spacing**2
         self.index = 0
-        self.terminal = False
 
     def select(self, s) -> np.ndarray:
-        s_des, self.index, term = select_waypoint(
-            self.path, s, self.index, self.threshold, self.exponent
-        )
-        self.terminal = self.terminal or term
+        s_des, self.index = select_waypoint(self.path, s, self.index, self.threshold)
         return s_des
 
 
@@ -192,24 +176,10 @@ class WaypointTracker:
 CURV_TOL = 1e-12  # ||L_g V||^2 at or below this counts as zero: V has no descent direction
 
 
-@dataclass
-class ClfConfig:
-    """Lyapunov scale c, decrease gain beta, optional explicit advance threshold."""
-
-    c: float = 1.0
-    beta: float = 15.0
-    threshold: float | None = None
-    exponent: float = 2.0
-
-    def __post_init__(self):
-        if self.c <= 0 or self.beta <= 0:
-            raise ValueError("c and beta must be positive")
-
-
-def clf_action(model: NeuralOdeModel, s, s_des, cfg: ClfConfig) -> np.ndarray:
+def clf_action(model: NeuralOdeModel, s, s_des, beta: float) -> np.ndarray:
     """Minimum-norm action with V decreasing at rate beta.
 
-    V = ||c*(s - s_des)||^2, gradV = 2c^2 (s - s_des). The decrease condition
+    V = ||s - s_des||^2, gradV = 2 (s - s_des). The decrease condition
     L_f V + L_g V a + beta V <= 0 is the single row G a <= h with
     G = L_g V = gradV' g(s), h = -L_f V - beta V. Its minimum-norm action is
     a = 0 when the row holds at a = 0 within qp.FEAS_TOL (h >= -FEAS_TOL), and
@@ -221,19 +191,19 @@ def clf_action(model: NeuralOdeModel, s, s_des, cfg: ClfConfig) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     s_des = np.asarray(s_des, dtype=np.float64)
     e = s - s_des
-    v = cfg.c**2 * float(e @ e)
-    grad_v = 2.0 * cfg.c**2 * e
+    v = float(e @ e)
+    grad_v = 2.0 * e
     f, g = model.drift_and_gain(s)
     lf_v = float(grad_v @ f)
     lg_v = grad_v @ g
-    h = -lf_v - cfg.beta * v
+    h = -lf_v - beta * v
     if -h <= qp.FEAS_TOL:
         return np.zeros(model.n_action)
     curv = float(lg_v @ lg_v)
     if curv <= CURV_TOL:
         raise UncontrollableError(
             f"uncontrollable descent direction: |L_gV|={np.linalg.norm(lg_v):.3e}, "
-            f"L_fV+beta*V={lf_v + cfg.beta * v:.3e}"
+            f"L_fV+beta*V={lf_v + beta * v:.3e}"
         )
     return -(-h / curv) * lg_v
 

@@ -1,11 +1,11 @@
 """Deterministic kinematic simulator and episode runner.
 
-Ground truth is a velocity-controlled affine field sdot = A s + B a + w(t)
-with a seeded disturbance draw ||w||_1 <= w_max held constant over each step,
-integrated with rk4 (an injectable field_fn supports tests that need an exact
-or perturbed truth). Observations add Gaussian noise. Collision checking uses
-hard-max zone margins on the true state, so smoothing slack can never hide a
-violation. Per-episode RNG streams derive from (master seed, episode index),
+Ground truth is the velocity-controlled integrator sdot = E a + w(t), with
+E = eye(n_state, n_action) and a seeded disturbance draw ||w||_1 <= w_max
+held constant over each step, integrated with rk4 (an injectable field_fn
+replaces E a for tests that need another truth). Observations add Gaussian
+noise. Collision checking uses hard-max zone margins on the true state, so
+smoothing slack can never hide a violation. Per-episode RNG streams derive from (master seed, episode index),
 making batches order- and concurrency-independent.
 """
 
@@ -18,7 +18,6 @@ import numpy as np
 
 from .barriers import zone_from_config
 from .control import (
-    ClfConfig,
     KnnExpertPolicy,
     ReferencePath,
     ScriptedExpert,
@@ -33,8 +32,6 @@ class EnvConfig:
     n_state: int = 4
     n_action: int = 4
     dt: float = 0.1
-    A: np.ndarray | None = None          # defaults to zeros
-    B: np.ndarray | None = None          # defaults to identity (pure integrator)
     w_max: float = 0.0                   # L1 bound on the disturbance, state-units/s
     disturbance_mode: str = "step"       # step: fresh draw per step; episode: one bias draw per episode
     obs_noise: float = 0.0
@@ -52,11 +49,6 @@ class EnvConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < 1 or self.w_max < 0:
             raise ValueError("dt > 0, horizon >= 1, w_max >= 0 required")
-        self.A = np.zeros((self.n_state, self.n_state)) if self.A is None else np.asarray(self.A, dtype=np.float64)
-        if self.B is None:
-            self.B = np.eye(self.n_state, self.n_action)
-        else:
-            self.B = np.asarray(self.B, dtype=np.float64)
         if self.start is None:
             self.start = np.zeros(self.n_state)
         else:
@@ -71,10 +63,14 @@ class EnvConfig:
 
 
 class KinematicEnv:
-    """Velocity-controlled point agent in the configured affine field."""
+    """Velocity-controlled point agent; field_fn(s, a) is the truth less the
+    disturbance, E a when not given."""
 
     def __init__(self, config: EnvConfig, seed: int = 0, field_fn=None):
         self.cfg = config
+        if field_fn is None:
+            gain = np.eye(config.n_state, config.n_action)
+            field_fn = lambda s, a: gain @ a
         self.field_fn = field_fn
         self._rng = None
         self.state = None
@@ -108,17 +104,12 @@ class KinematicEnv:
         d /= max(np.abs(d).sum(), 1e-300)
         return self.cfg.w_max * self._rng.uniform(0.0, 1.0) * d
 
-    def true_field(self, s, a):
-        if self.field_fn is not None:
-            return self.field_fn(s, a)
-        return self.cfg.A @ s + self.cfg.B @ a
-
     def step(self, a) -> np.ndarray:
         """Clamp the action, integrate one dt with a constant disturbance draw,
         return the (possibly noisy) observation."""
         a = np.clip(np.asarray(a, dtype=np.float64), -self.cfg.a_max, self.cfg.a_max)
         w = self._episode_bias if self._episode_bias is not None else self._draw_disturbance()
-        self.state = _step_rk4(lambda s, _a: self.true_field(s, _a) + w, self.state, a, self.cfg.dt)
+        self.state = _step_rk4(lambda s, _a: self.field_fn(s, _a) + w, self.state, a, self.cfg.dt)
         if self.cfg.task == "transport" and not self.latched and self.cfg.obj is not None:
             if np.linalg.norm(self.state[:3] - self.cfg.obj) <= self.cfg.latch_tol:
                 self.latched = True
@@ -131,19 +122,19 @@ class KinematicEnv:
 class ClfPolicy:
     """Waypoint-following CLF controller bound to a learned model."""
 
-    def __init__(self, model, path: ReferencePath, cfg: ClfConfig):
+    def __init__(self, model, path: ReferencePath, beta: float):
         self.model = model
         self.path = path
-        self.cfg = cfg
+        self.beta = beta
         self.tracker = None
         self.reset()
 
     def reset(self, seed: int | None = None):
-        self.tracker = WaypointTracker(self.path, self.cfg.threshold, self.cfg.exponent)
+        self.tracker = WaypointTracker(self.path)
 
     def act(self, obs, t: int) -> np.ndarray:
         s_des = self.tracker.select(obs)
-        return clf_action(self.model, obs, s_des, self.cfg)
+        return clf_action(self.model, obs, s_des, self.beta)
 
 
 class KnnPolicy:
@@ -178,7 +169,6 @@ class EpisodeResult:
     min_margin: float
     tracking_dev: float
     steps: int
-    wall_time: float
     inference_time_ms: float
     slack_events: int = 0     # steps the shield met only with slack
     fallback_events: int = 0  # steps where even the relaxation failed (fallback action)
@@ -212,7 +202,6 @@ def run_episode(policy, env_cfg: EnvConfig, seed: int, shield=None,
     trajectory. Episodes always run the full horizon; `steps` records the
     first success time.
     """
-    t_start = time.perf_counter()
     env = KinematicEnv(env_cfg, seed=seed)
     zones = env_cfg.build_zones()
     policy.reset(seed)
@@ -286,7 +275,6 @@ def run_episode(policy, env_cfg: EnvConfig, seed: int, shield=None,
         min_margin=min_margin,
         tracking_dev=tracking,
         steps=success_at if success_at is not None else steps_run,
-        wall_time=time.perf_counter() - t_start,
         inference_time_ms=1e3 * infer_total / max(1, steps_run),
         slack_events=slack_events,
         fallback_events=fallback_events,

@@ -17,7 +17,7 @@ import pytest
 from conftest import GOAL, START, reach_env, zone_on_path
 from safectl import dynamics as dyn
 from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier, zone_from_config
-from safectl.control import ClfConfig, KnnExpertPolicy, path_from_config
+from safectl.control import KnnExpertPolicy, path_from_config
 from safectl.shield import ConstraintSpec, SafetyShield, ShieldConfig
 from safectl.sim import ClfPolicy, KinematicEnv, KnnPolicy, run_episode
 
@@ -69,7 +69,7 @@ def test_criterion_1_safety_invariance(default_stack):
     env = reach_env(zones=[zone_cfg])
     knn = KnnPolicy(KnnExpertPolicy.from_demos(stack.demos, 5))
     path = straight_path_through_zone()
-    clf = ClfPolicy(stack.full, path, ClfConfig(beta=15.0))
+    clf = ClfPolicy(stack.full, path, 15.0)
     shield = make_shield(stack, zone_cfg)
 
     stats = {}
@@ -100,7 +100,7 @@ def test_criterion_2_gamma_margin_trend(default_stack):
     means = []
     for gamma in GAMMAS:
         shield = make_shield(stack, zone_cfg, gamma=gamma)
-        policy = ClfPolicy(stack.full, path, ClfConfig(beta=15.0))
+        policy = ClfPolicy(stack.full, path, 15.0)
         margins = [run_episode(policy, env, seed=(2, s), shield=shield, path=path)[0].min_margin
                    for s in range(20)]
         means.append(float(np.mean(margins)))
@@ -120,7 +120,7 @@ def test_criterion_3_beta_tracking_trend(default_stack):
     env.zones = []
     means = []
     for beta in BETAS:
-        policy = ClfPolicy(stack.full, path, ClfConfig(beta=beta))
+        policy = ClfPolicy(stack.full, path, beta)
         devs = [run_episode(policy, env, seed=(3, s), path=path)[0].tracking_dev
                 for s in range(20)]
         means.append(float(np.mean(devs)))

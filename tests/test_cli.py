@@ -12,7 +12,6 @@ import pytest
 from safectl import cli
 from safectl import config as cfgmod
 from safectl import dynamics as dyn
-from safectl.control import ClfConfig
 from safectl.sim import ClfPolicy, compute_metrics, run_episode
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +195,11 @@ class TestConfigValidation:
         (lambda c: c.update(unknown_field=1), "unknown_field"),
         (lambda c: c["env"].update(start=[0.05, 0.05, 0.05, 0.0, 0.0, 0.0]),
          "env/start: 6 entries"),
+        (lambda c: c["env"].update(A=[[0.0] * 4] * 4), "'A' was unexpected"),
+        (lambda c: c["env"].update(B=[[1.0] * 4] * 4), "'B' was unexpected"),
+        (lambda c: c["policy"].update(c=2.0), "'c' was unexpected"),
+        (lambda c: c["policy"].update(advance_threshold=0.01), "'advance_threshold' was unexpected"),
+        (lambda c: c["policy"].update(advance_exponent=1.0), "'advance_exponent' was unexpected"),
     ])
     def test_invalid_config_exits_2_before_work(self, tmp_path, mutate, fragment):
         cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -209,6 +213,34 @@ class TestConfigValidation:
         assert fragment in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (out / "demos.jsonl").exists()
+
+    def test_negative_ssp_seed_exits_2_before_work(self, tmp_path):
+        # SSP_SEED is an override like --seed, so the schema sees it
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(BASE_CONFIG))
+        out = tmp_path / "o"
+        proc = run_cli("gen-demos", "--config", str(cfg_path), "--out", str(out), "--n", "1",
+                       "--seed", "3", env_extra={"SSP_SEED": "-1"})
+        assert proc.returncode == 2
+        assert "config invalid at seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_seed_precedence(self, tmp_path, monkeypatch):
+        # SSP_SEED over --seed over the file's seed
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(dict(BASE_CONFIG, seed=5)))
+
+        def parse(*flags):
+            return cli.make_parser().parse_args(
+                ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *flags])
+
+        monkeypatch.delenv("SSP_SEED", raising=False)
+        assert cli._load_config(parse())["seed"] == 5
+        assert cli._load_config(parse("--seed", "3"))["seed"] == 3
+        monkeypatch.setenv("SSP_SEED", "7")
+        assert cli._load_config(parse("--seed", "3"))["seed"] == 7
+        assert cli._load_config(parse())["seed"] == 7
 
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = run_cli("gen-demos", "--config", str(tmp_path / "nope.json"),
@@ -375,10 +407,7 @@ def old_sweep(cfg, out, param, values):
     if param == "beta":
         path = cfgmod.build_path(cfg)
         for beta in values:
-            p = cfg["policy"]
-            policy = ClfPolicy(models["full"], path,
-                               ClfConfig(c=p["c"], beta=beta, threshold=p["advance_threshold"],
-                                         exponent=p["advance_exponent"]))
+            policy = ClfPolicy(models["full"], path, beta)
             devs = [run_episode(policy, env_cfg, seed=(cfg["seed"], g, i), path=path)[0]
                     .tracking_dev for g in cfg["seeds"] for i in range(cfg["episodes"])]
             rows.append((beta, float(np.mean(devs))))

@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -8,10 +9,24 @@ from safectl import config
 from safectl.config import SCHEMA, ConfigError
 
 GOOD = {"version": 1, "env": {"task": "reach"}}
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted([*ROOT.glob("configs/*.json"), *ROOT.glob("bench/scenes/*.json")])
 
 
 def test_schema_passes_its_metaschema():
     jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+
+def test_configs_are_shipped():
+    assert len(SHIPPED) >= 6
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_shipped_config_loads(path):
+    # a key the schema no longer has, left in a shipped config, fails here
+    # rather than when the config is first run
+    cfg = config.load(path)
+    assert cfg["version"] == 1
 
 
 def bad(path, value):
@@ -56,14 +71,18 @@ def test_bad_config_file_raises_with_path(tmp_path):
 
 REMOVED_KEYS = {"shield.per_dim": False, "shield.gamma_behavioral": 3.0, "shield.robust": True,
                 "shield.vertex_budget": 64, "shield.slack_penalty": 1e6,
-                "train.optimizer": "rmsprop", "train.steps_per_epoch": 4}
+                "train.optimizer": "rmsprop", "train.steps_per_epoch": 4,
+                "policy.c": 1.0, "policy.advance_threshold": None, "policy.advance_exponent": 2.0,
+                "env.A": [[0.0]], "env.B": [[1.0]]}
 
 
 @pytest.mark.parametrize("dotted,value", REMOVED_KEYS.items(), ids=REMOVED_KEYS.keys())
 def test_removed_key_is_rejected(dotted, value):
     # the shield has one behaviour: gamma on every row, the robust margin and
     # state box always on, MAX_BOX_CORNERS corners and the default slack
-    # penalty; training is RMSprop at one epoch's worth of gradient steps
+    # penalty; training is RMSprop at one epoch's worth of gradient steps; the
+    # CLF follower has V = ||s - s_des||^2 and one advance rule; the simulator's
+    # built-in truth is the integrator (KinematicEnv's field_fn injects another)
     section, key = dotted.split(".")
     with pytest.raises(ConfigError, match=f"'{key}' was unexpected"):
         config.validate(bad([section, key], value))
@@ -87,7 +106,8 @@ NON_FINITE = {
     "-inf in a zone centre": (["env", "zones"],
                               [{"type": "sphere", "center": [0, float("-inf"), 0], "radius": 0.1}],
                               "env/zones/0/center/1: -inf"),
-    "NaN in a matrix": (["env", "A"], [[1.0, float("nan")]], "env/A/0/1: nan"),
+    "NaN in a matrix": (["policy", "path", "waypoints"], [[1.0, float("nan")]],
+                        "policy/path/waypoints/0/1: nan"),
 }
 
 

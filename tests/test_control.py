@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from safectl import qp
 from safectl.control import (
     CURV_TOL,
-    ClfConfig,
     KnnExpertPolicy,
     ReferencePath,
     ScriptedExpert,
@@ -86,31 +85,31 @@ class TestSelectWaypoint:
         self.thresh = 0.25  # squared distance
 
     def test_far_state_targets_nearest_forward(self):
-        s_des, idx, term = select_waypoint(self.path, np.array([2.1, 3.0]), 0, self.thresh)
+        s_des, idx = select_waypoint(self.path, np.array([2.1, 3.0]), 0, self.thresh)
         assert np.array_equal(s_des, [2.0, 0.0])
-        assert idx == 2 and not term
+        assert idx == 2
 
     def test_advances_past_close_waypoint(self):
         # within threshold of waypoint 2, waypoint 3 beyond it -> returns 3
         s = np.array([2.1, 0.0])
-        s_des, idx, term = select_waypoint(self.path, s, 0, self.thresh)
+        s_des, idx = select_waypoint(self.path, s, 0, self.thresh)
         assert np.array_equal(s_des, [3.0, 0.0])
-        assert idx == 3 and not term
+        assert idx == 3
 
-    def test_terminal_flag_at_final_waypoint(self):
+    def test_stays_at_final_waypoint(self):
         s = np.array([5.05, 0.0])
-        s_des, idx, term = select_waypoint(self.path, s, 0, self.thresh)
+        s_des, idx = select_waypoint(self.path, s, 0, self.thresh)
         assert np.array_equal(s_des, [5.0, 0.0])
-        assert idx == 5 and term
+        assert idx == 5
 
     def test_never_backtracks(self):
         # nearest waypoint overall is 1, but the cursor is already at 3
-        s_des, idx, _ = select_waypoint(self.path, np.array([1.0, 0.4]), 3, self.thresh)
+        s_des, idx = select_waypoint(self.path, np.array([1.0, 0.4]), 3, self.thresh)
         assert idx == 3
         assert np.array_equal(s_des, [3.0, 0.0])
 
     def test_index_monotone_over_episode(self):
-        tracker = WaypointTracker(self.path, threshold=self.thresh)
+        tracker = WaypointTracker(self.path)
         rng = np.random.default_rng(0)
         prev = 0
         s = np.array([0.0, 0.0])
@@ -123,28 +122,28 @@ class TestSelectWaypoint:
 
 class TestClfAction:
     def test_integrator_closed_form(self):
-        # f=0, g=I, c=1, e=(1,0,0), beta=2: min-norm a with 2 e'a <= -2||e||^2
+        # f=0, g=I, e=(1,0,0), beta=2: min-norm a with 2 e'a <= -2||e||^2
         model = AffineModel.integrator(3)
-        a = clf_action(model, np.array([1.0, 0, 0]), np.zeros(3), ClfConfig(c=1.0, beta=2.0))
+        a = clf_action(model, np.array([1.0, 0, 0]), np.zeros(3), 2.0)
         assert np.allclose(a, [-1.0, 0.0, 0.0], atol=1e-9)
 
     def test_equilibrium_zero_action(self):
         model = AffineModel.integrator(3)
-        a = clf_action(model, np.ones(3), np.ones(3), ClfConfig(c=1.0, beta=2.0))
+        a = clf_action(model, np.ones(3), np.ones(3), 2.0)
         assert np.allclose(a, 0.0, atol=1e-12)
 
     def test_beta_doubling_doubles_action_norm(self):
         model = AffineModel.integrator(3)
         s, s_des = np.array([0.4, -0.2, 0.1]), np.zeros(3)
-        n1 = np.linalg.norm(clf_action(model, s, s_des, ClfConfig(beta=3.0)))
-        n2 = np.linalg.norm(clf_action(model, s, s_des, ClfConfig(beta=6.0)))
+        n1 = np.linalg.norm(clf_action(model, s, s_des, 3.0))
+        n2 = np.linalg.norm(clf_action(model, s, s_des, 6.0))
         assert n2 == pytest.approx(2.0 * n1, rel=1e-9)
 
     def test_minimality_matches_analytic_kkt(self):
         # tight constraint: a = -((L_fV + beta V)/||L_gV||^2) L_gV'; else 0
         rng = np.random.default_rng(0)
         model = AffineModel.integrator(4)
-        cfg = ClfConfig(c=1.0, beta=5.0)
+        beta = 5.0
         for _ in range(100):
             s = rng.normal(size=4)
             s_des = rng.normal(size=4)
@@ -152,27 +151,26 @@ class TestClfAction:
             v = float(e @ e)
             lg = 2.0 * e  # grad V' g with g = I
             lf = 0.0
-            expected = -((lf + cfg.beta * v) / (lg @ lg)) * lg if v > 0 else np.zeros(4)
-            a = clf_action(model, s, s_des, cfg)
+            expected = -((lf + beta * v) / (lg @ lg)) * lg if v > 0 else np.zeros(4)
+            a = clf_action(model, s, s_des, beta)
             assert np.max(np.abs(a - expected)) < 1e-8
 
     def test_uncontrollable_raises(self):
         # unstable drift with zero gain: no action can produce descent
         model = AffineModel(A=np.eye(2), B=np.zeros((2, 2)))
         with pytest.raises(UncontrollableError, match="uncontrollable"):
-            clf_action(model, np.array([1.0, 0.0]), np.zeros(2), ClfConfig(beta=2.0))
+            clf_action(model, np.array([1.0, 0.0]), np.zeros(2), 2.0)
 
     def test_descent_in_closed_loop_with_true_model(self):
         # with the injected ground-truth integrator, V never increases by more
         # than the 5% discretisation allowance while the constraint is feasible
         model = AffineModel.integrator(3)
-        cfg = ClfConfig(c=1.0, beta=4.0)
         s_des = np.zeros(3)
         s = np.array([0.5, -0.3, 0.2])
         dt = 0.1
         v_prev = float(s @ s)
         for _ in range(60):
-            a = clf_action(model, s, s_des, cfg)
+            a = clf_action(model, s, s_des, 4.0)
             s = s + dt * a  # integrator truth
             v = float(s @ s)
             assert v <= v_prev * 1.05 + 1e-15
@@ -180,22 +178,22 @@ class TestClfAction:
         assert v_prev < 1e-4
 
 
-def decrease_row(model, s, s_des, cfg):
+def decrease_row(model, s, s_des, beta):
     """The CLF decrease condition as the row L_gV a <= h, with L_fV and V."""
     s = np.asarray(s, dtype=np.float64)
     e = s - np.asarray(s_des, dtype=np.float64)
-    v = cfg.c**2 * float(e @ e)
-    grad_v = 2.0 * cfg.c**2 * e
+    v = float(e @ e)
+    grad_v = 2.0 * e
     f, g = model.drift_and_gain(s)
     lf_v = float(grad_v @ f)
     lg_v = grad_v @ g
-    return lg_v, -lf_v - cfg.beta * v, lf_v, v
+    return lg_v, -lf_v - beta * v, lf_v, v
 
 
-def clf_qp_reference(model, s, s_des, cfg):
+def clf_qp_reference(model, s, s_des, beta):
     """clf_action as the one-row QP it stands for: the decrease row handed to
     qp.solve with P = I, q = 0."""
-    lg_v, h, _, _ = decrease_row(model, s, s_des, cfg)
+    lg_v, h, _, _ = decrease_row(model, s, s_des, beta)
     sol = qp.solve(qp.QpProblem(P=np.eye(model.n_action), q=np.zeros(model.n_action),
                                 G=lg_v[None, :], h=np.array([h])))
     assert sol.status == "optimal"
@@ -214,9 +212,8 @@ def assert_matches_qp(got, want):
 class TestClfClosedFormMatchesQp:
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["neural", "affine"]), st.integers(1, 4), st.integers(1, 4),
-           st.integers(0, 2**32 - 1), st.floats(0.1, 5.0), st.floats(0.1, 50.0),
-           st.booleans())
-    def test_random_models_and_states(self, kind, n_state, n_action, seed, c, beta, at_target):
+           st.integers(0, 2**32 - 1), st.floats(0.1, 50.0), st.booleans())
+    def test_random_models_and_states(self, kind, n_state, n_action, seed, beta, at_target):
         rng = np.random.default_rng(seed)
         if kind == "neural":
             model = NeuralOdeModel.create(n_state, n_action, hidden=8, seed=seed % 1000)
@@ -226,14 +223,13 @@ class TestClfClosedFormMatchesQp:
                                 c=rng.normal(size=n_state))
         s = rng.uniform(-1.0, 1.0, n_state)
         s_des = s.copy() if at_target else rng.uniform(-1.0, 1.0, n_state)
-        cfg = ClfConfig(c=c, beta=beta)
         try:
-            got = clf_action(model, s, s_des, cfg)
+            got = clf_action(model, s, s_des, beta)
         except UncontrollableError:
-            lg_v, h, _, _ = decrease_row(model, s, s_des, cfg)
+            lg_v, h, _, _ = decrease_row(model, s, s_des, beta)
             assert -h > qp.FEAS_TOL and float(lg_v @ lg_v) <= CURV_TOL
             return
-        want = clf_qp_reference(model, s, s_des, cfg)
+        want = clf_qp_reference(model, s, s_des, beta)
         assert got.shape == want.shape
         assert_matches_qp(got, want)
 
@@ -244,18 +240,16 @@ class TestClfClosedFormMatchesQp:
     ])
     def test_both_branches(self, s, active):
         model = AffineModel(A=0.2 * np.eye(3), B=np.diag([1.0, 0.5, 2.0]))
-        cfg = ClfConfig(c=1.5, beta=4.0)
-        a = clf_action(model, np.array(s), np.zeros(3), cfg)
-        assert_matches_qp(a, clf_qp_reference(model, np.array(s), np.zeros(3), cfg))
+        a = clf_action(model, np.array(s), np.zeros(3), 4.0)
+        assert_matches_qp(a, clf_qp_reference(model, np.array(s), np.zeros(3), 4.0))
         assert bool(np.any(a != 0.0)) == active
 
     def test_violation_exactly_at_feasibility_tolerance(self):
-        # integrator, e = (1, 0, 0), c = 1: h = -beta exactly, so beta = FEAS_TOL
-        # sits on the tolerance (zero action) and the next float above leaves it
+        # integrator, e = (1, 0, 0): h = -beta exactly, so beta = FEAS_TOL sits
+        # on the tolerance (zero action) and the next float above leaves it
         model = AffineModel.integrator(3)
         s, s_des = np.array([1.0, 0.0, 0.0]), np.zeros(3)
-        at = ClfConfig(c=1.0, beta=qp.FEAS_TOL)
-        above = ClfConfig(c=1.0, beta=float(np.nextafter(qp.FEAS_TOL, 1.0)))
+        at, above = qp.FEAS_TOL, float(np.nextafter(qp.FEAS_TOL, 1.0))
         a_at, a_above = clf_action(model, s, s_des, at), clf_action(model, s, s_des, above)
         assert np.array_equal(a_at, np.zeros(3))
         assert np.array_equal(a_at, clf_qp_reference(model, s, s_des, at))
@@ -269,19 +263,19 @@ class TestClfClosedFormMatchesQp:
         # it clf_action raises (the LDP would still return a huge projection),
         # above it the action matches qp.solve
         model = AffineModel(A=np.eye(2), B=gain * np.eye(2))
-        s, s_des, cfg = np.array([1.0, 0.0]), np.zeros(2), ClfConfig(beta=2.0)
-        lg_v, h, lf_v, v = decrease_row(model, s, s_des, cfg)
+        s, s_des, beta = np.array([1.0, 0.0]), np.zeros(2), 2.0
+        lg_v, h, lf_v, v = decrease_row(model, s, s_des, beta)
         assert -h > qp.FEAS_TOL  # the row is violated at a = 0
         assert (float(lg_v @ lg_v) <= CURV_TOL) == raises
         if not raises:
-            assert_matches_qp(clf_action(model, s, s_des, cfg),
-                              clf_qp_reference(model, s, s_des, cfg))
+            assert_matches_qp(clf_action(model, s, s_des, beta),
+                              clf_qp_reference(model, s, s_des, beta))
             return
         with pytest.raises(UncontrollableError) as got:
-            clf_action(model, s, s_des, cfg)
+            clf_action(model, s, s_des, beta)
         assert str(got.value) == (
             f"uncontrollable descent direction: |L_gV|={np.linalg.norm(lg_v):.3e}, "
-            f"L_fV+beta*V={lf_v + cfg.beta * v:.3e}")
+            f"L_fV+beta*V={lf_v + beta * v:.3e}")
 
 
 class TestKnnExpert:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import GOAL, START, make_demos, reach_env, zone_on_path
 from safectl.barriers import CylinderZone, SphereZone
-from safectl.control import ClfConfig, KnnExpertPolicy, ScriptedExpert, path_from_config
+from safectl.control import KnnExpertPolicy, ScriptedExpert, path_from_config
 from safectl.dynamics import AffineModel, integrate
 from safectl.sim import (
     ClfPolicy,
@@ -42,13 +42,12 @@ class TestStep:
             n = 3
             A = rng.normal(size=(n, n)) * 0.2
             B = rng.normal(size=(n, n)) * 0.3
-            cfg = EnvConfig(n_state=n, n_action=n, A=A, B=B,
-                            start=rng.normal(size=n) * 0.1, a_max=1.0)
-            env = KinematicEnv(cfg, seed=0)
+            field = lambda s, _a: A @ s + B @ _a
+            cfg = EnvConfig(n_state=n, n_action=n, start=rng.normal(size=n) * 0.1, a_max=1.0)
+            env = KinematicEnv(cfg, seed=0, field_fn=field)
             a = rng.uniform(-0.5, 0.5, n)
             s0 = env.state.copy()
             env.step(a)
-            field = lambda s, _a: A @ s + B @ _a
             fine = integrate(field, s0, np.tile(a, (100, 1)), dt=cfg.dt / 100)[-1]
             assert np.max(np.abs(env.state - fine)) < 1e-8
 
@@ -133,7 +132,7 @@ class TestRunEpisode:
              "direction": (GOAL - START[:3]).tolist(),
              "length": float(np.linalg.norm(GOAL - START[:3]))}, 4)
         env = EnvConfig(task="path-follow", start=START, start_spread=0.0)
-        result, _ = run_episode(ClfPolicy(model, path, ClfConfig(beta=15.0)), env,
+        result, _ = run_episode(ClfPolicy(model, path, 15.0), env,
                                 seed=0, path=path)
         assert result.success
         assert result.tracking_dev < 2e-3
@@ -196,8 +195,7 @@ class TestMetrics:
     @staticmethod
     def result(success, collided, margin=0.1):
         return EpisodeResult(success=success, collided=collided, min_margin=margin,
-                             tracking_dev=float("nan"), steps=50, wall_time=0.0,
-                             inference_time_ms=1.0)
+                             tracking_dev=float("nan"), steps=50, inference_time_ms=1.0)
 
     def test_all_success_no_collision(self):
         batch = {0: [self.result(True, False)] * 10, 1: [self.result(True, False)] * 10}
