@@ -11,7 +11,8 @@ Three families:
 Each barrier evaluates a batch of points at once through
 `value_and_grad_batch(X)`, X of shape (B, n), returning b (B,) and the
 gradients (B, n); the single-point `value_and_grad` and `value` are its B = 1
-case. Evaluation is pure; all barrier objects are immutable after
+case, as the zones' `hard_value` is the B = 1 case of `hard_value_batch`.
+Evaluation is pure; all barrier objects are immutable after
 construction and safe to share across workers. Hard (non-smoothed) values are
 exposed separately so smoothing slack can never hide a violation check.
 """
@@ -33,6 +34,14 @@ def cross3(a, b):
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def rowdot(X, Y):
+    """x @ y for each row x of X (B, k) with the matching row of Y (B, k), or
+    with Y (k,). Matmul's 1 x 1 output case calls the same BLAS dot as a 1-D
+    product, so each value is bitwise the 1-D one; an einsum or a sum of the
+    products rounds apart from it."""
+    return (X[:, None, :] @ Y[..., None])[:, 0, 0]
 
 
 def _single(barrier, x):
@@ -62,6 +71,9 @@ class SphereZone:
 
     def hard_value(self, x) -> float:
         return self.value(x)
+
+    def hard_value_batch(self, X):
+        return self.value_and_grad_batch(X)[0]
 
 
 class CylinderZone:
@@ -104,16 +116,22 @@ class CylinderZone:
         rel[on_axis] += AXIS_EPS * radial / np.linalg.norm(radial)
         return rel
 
+    def components_batch(self, X):
+        """(b_radial, b_vertical) of every row of X (B, 3), without smoothing."""
+        rel = np.asarray(X, dtype=np.float64) - self.point
+        w = cross3(rel, self.axis)
+        b_rad = np.sqrt(rowdot(w, w)) - self.radius
+        return b_rad, np.abs(rowdot(rel, self.axis)) - 0.5 * self.length
+
     def components(self, x):
-        """(b_radial, b_vertical) without smoothing."""
-        rel = np.asarray(x, dtype=np.float64) - self.point
-        b_rad = np.linalg.norm(cross3(rel, self.axis)) - self.radius
-        b_vert = abs(rel @ self.axis) - 0.5 * self.length
-        return float(b_rad), float(b_vert)
+        b_rad, b_vert = self.components_batch(np.asarray(x, dtype=np.float64)[None, :])
+        return float(b_rad[0]), float(b_vert[0])
 
     def hard_value(self, x) -> float:
-        b_rad, b_vert = self.components(x)
-        return max(b_rad, b_vert)
+        return float(self.hard_value_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
+
+    def hard_value_batch(self, X):
+        return np.maximum(*self.components_batch(X))
 
     def value(self, x) -> float:
         return _single(self, x)[0]

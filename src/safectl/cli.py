@@ -11,12 +11,17 @@ held-out side; run and sweep parse every line.
 
 gen-demos, run and sweep roll episodes through one loop, `_episodes`: episode
 i of seed group g runs on seed (master, g, i), against the config's reference
-path when it has one.
+path when it has one. Without a shield (gen-demos, run --shield off, the beta
+sweep) a seed group steps in lockstep, each episode with its own copy of the
+policy. With one, episodes run one at a time: a shielded step's cost is its
+own QP, which a batch cannot share, and each episode's filter calls stay
+one contiguous run.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -27,7 +32,7 @@ import numpy as np
 from . import config as cfgmod
 from . import dynamics as dyn
 from .config import ConfigError
-from .sim import compute_metrics, run_episode
+from .sim import compute_metrics, run_episode, run_episodes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,11 +95,17 @@ def _load_config(args) -> dict:
 
 def _episodes(policy, env_cfg, master: int, groups, n: int, shield=None, path=None):
     """Roll n episodes per seed group, in order: episode i of group g runs on
-    seed (master, g, i). Yields (g, i, EpisodeResult, TrajectoryLog)."""
+    seed (master, g, i), a group in lockstep when there is no shield.
+    Yields (g, i, EpisodeResult, TrajectoryLog)."""
     for g in groups:
-        for i in range(n):
-            yield (g, i, *run_episode(policy, env_cfg, seed=(master, g, i), shield=shield,
-                                      path=path))
+        seeds = [(master, g, i) for i in range(n)]
+        if shield is None:
+            episodes = run_episodes([copy.copy(policy) for _ in seeds], env_cfg, seeds,
+                                    path=path)
+        else:
+            episodes = (run_episode(policy, env_cfg, s, shield, path) for s in seeds)
+        for i, (result, log) in enumerate(episodes):
+            yield g, i, result, log
 
 
 def _demos(path: Path, lines) -> list:
@@ -200,39 +211,25 @@ def _load_stack(cfg, out: Path, need_models: bool, need_bounds: bool):
     demos = _demos(path, dyn.demo_lines(path))  # the kNN policy and task space need them all
     models = bounds = None
     if need_models:
-        full, _ = dyn.NeuralOdeModel.load(_need(out / MODEL_FULL, "run train first"))
-        pos, _ = dyn.NeuralOdeModel.load(_need(out / MODEL_POS, "run train first"))
-        models = {"full": full, "position": pos}
+        models = {k: dyn.NeuralOdeModel.load(_need(out / f, "run train first"))[0]
+                  for k, f in (("full", MODEL_FULL), ("position", MODEL_POS))}
     if need_bounds:
-        b_full = dyn.UncertaintyBounds.from_dict(
-            json.loads(_need(out / BOUNDS_FULL, "run quantify first").read_text())
-        )
-        b_pos = dyn.UncertaintyBounds.from_dict(
-            json.loads(_need(out / BOUNDS_POS, "run quantify first").read_text())
-        )
-        bounds = {"full": b_full, "position": b_pos}
+        bounds = {k: dyn.UncertaintyBounds.from_dict(
+                      json.loads(_need(out / f, "run quantify first").read_text()))
+                  for k, f in (("full", BOUNDS_FULL), ("position", BOUNDS_POS))}
     return demos, models, bounds
 
 
 def _write_episode_csv(path: Path, log, n_state: int, n_action: int):
-    cols = ["t"]
-    cols += [f"s{i}" for i in range(n_state)]
-    cols += [f"a_des{i}" for i in range(n_action)]
+    margins = log.margins[1:] if log.filter_margins is None else log.filter_margins
+    cols = ["t"] + [f"s{i}" for i in range(n_state)] + [f"a_des{i}" for i in range(n_action)]
     cols += [f"a_safe{i}" for i in range(n_action)]
-    k = log.filter_margins.shape[1] if log.filter_margins is not None else log.margins.shape[1]
-    cols += [f"margin{i}" for i in range(k)]
-    cols += ["slack", "solve_time_us"]
+    cols += [f"margin{i}" for i in range(margins.shape[1])] + ["slack", "solve_time_us"]
+    table = np.hstack([log.states[1:], log.a_des, log.a_safe, margins, log.slack[:, None],
+                       log.solve_time_us[:, None]])
+    # repr of tolist()'s Python floats is repr(float(v)) of each entry, -0.0 included
     lines = [",".join(cols)]
-    steps = log.a_des.shape[0]
-    for t in range(steps):
-        m = log.filter_margins[t] if log.filter_margins is not None else log.margins[t + 1]
-        row = [str(t)]
-        row += [repr(float(v)) for v in log.states[t + 1]]
-        row += [repr(float(v)) for v in log.a_des[t]]
-        row += [repr(float(v)) for v in log.a_safe[t]]
-        row += [repr(float(v)) for v in m]
-        row += [repr(float(log.slack[t])), repr(float(log.solve_time_us[t]))]
-        lines.append(",".join(row))
+    lines += [f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(table.tolist())]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -290,8 +287,7 @@ def cmd_sweep(args) -> int:
             cfg_v["shield"]["enabled"] = False
         else:
             cfg_v["shield"]["gamma"] = v
-        cfgmod.validate(cfg_v)  # for its errors: cfg_v already holds every default
-        swept.append((v, cfg_v))
+        swept.append((v, cfgmod.validate(cfg_v)))  # a CLF policy gains its default path
     if not swept:
         raise ConfigError("--values must list at least one number")
 

@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,6 +250,12 @@ class KnnExpertPolicy:
 # -- scripted experts ------------------------------------------------------------
 
 
+def clamp(a, a_max: float) -> np.ndarray:
+    """np.clip(a, -a_max, a_max) in place: the same floats without np.clip's
+    call overhead, which costs more than the work on a few-element array."""
+    return np.minimum(np.maximum(a, -a_max, out=a), a_max, out=a)
+
+
 @dataclass
 class ScriptedExpert:
     """Saturated proportional controller toward task targets.
@@ -289,20 +296,23 @@ class ScriptedExpert:
         n_pos = self.goal.shape[0]
         target = self.goal
         if self.obj is not None and not self._latched:
-            if np.linalg.norm(s[:n_pos] - self.obj) <= self.latch_tol:
+            d = s[:n_pos] - self.obj
+            if math.sqrt(d.dot(d)) <= self.latch_tol:
                 self._latched = True
             else:
                 target = self.obj
-        a = np.zeros_like(s)
+        a = np.zeros(s.shape)
         a[:n_pos] = self.gain * (target - s[:n_pos])
         a[n_pos:] = -self.gain * s[n_pos:]  # regulate yaw (and extras) to 0
+        p, extra = a[:n_pos], a[n_pos:]
         # saturate the speed, not the components: preserves the straight-line
         # direction toward the target (per-dim clipping bends the path toward
-        # whichever coordinate finishes first and confounds identification)
-        speed = np.linalg.norm(a[:n_pos])
+        # whichever coordinate finishes first and confounds identification);
+        # math.sqrt(p.dot(p)) is np.linalg.norm(p) without its call overhead
+        speed = math.sqrt(p.dot(p))
         if speed > self.a_max:
-            a[:n_pos] *= self.a_max / speed
-        a[n_pos:] = np.clip(a[n_pos:], -self.a_max, self.a_max)
+            p *= self.a_max / speed
+        clamp(extra, self.a_max)
         if self.dither > 0:
             a += self._rng.uniform(-self.dither, self.dither, a.shape[0])
-        return np.clip(a, -self.a_max, self.a_max)
+        return clamp(a, self.a_max)

@@ -1,29 +1,32 @@
-"""Deterministic kinematic simulator and episode runner.
+"""Deterministic kinematic simulator and lockstep episode runner.
 
 Ground truth is the velocity-controlled integrator sdot = E a + w(t), with
 E = eye(n_state, n_action) and a seeded disturbance draw ||w||_1 <= w_max
-held constant over each step, integrated with rk4 (an injectable field_fn
-replaces E a for tests that need another truth). Observations add Gaussian
-noise. Collision checking uses hard-max zone margins on the true state, so
-smoothing slack can never hide a violation. Per-episode RNG streams derive from (master seed, episode index),
-making batches order- and concurrency-independent.
+held constant over each step, integrated with rk4. An injectable field_fn(S, A)
+replaces E a for tests that need another truth: it maps states S (B, n_state)
+and actions A (B, n_action) to sdot (B, n_state), row by row. Observations add
+Gaussian noise. Collision checking uses hard-max zone margins on the true
+state, so smoothing slack can never hide a violation.
+
+`run_episodes` steps a batch of episodes in lockstep: one env holds each
+episode as a row, and a step clamps, integrates (one rk4 call) and checks
+success, latch and zone margins for every live row at once. Each episode keeps
+its own RNG stream, drawn from its seed in the order it has alone, its own
+policy object with one `act` call a step, and its own shield filter call. A
+row's arithmetic does not depend on the batch, so `run_episode`, the batch of
+one, gives the same floats.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from time import perf_counter as clock
 
 import numpy as np
 
-from .barriers import zone_from_config
-from .control import (
-    KnnExpertPolicy,
-    ReferencePath,
-    ScriptedExpert,
-    WaypointTracker,
-    clf_action,
-)
+from .barriers import rowdot, zone_from_config
+from .control import (KnnExpertPolicy, ReferencePath, ScriptedExpert, WaypointTracker, clamp,
+                      clf_action)
 from .dynamics import _step_rk4
 
 
@@ -49,71 +52,73 @@ class EnvConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < 1 or self.w_max < 0:
             raise ValueError("dt > 0, horizon >= 1, w_max >= 0 required")
-        if self.start is None:
-            self.start = np.zeros(self.n_state)
-        else:
-            self.start = np.asarray(self.start, dtype=np.float64)
+        self.start = np.zeros(self.n_state) if self.start is None else \
+            np.asarray(self.start, dtype=np.float64)
         if self.goal is not None:
             self.goal = np.asarray(self.goal, dtype=np.float64)
         if self.obj is not None:
             self.obj = np.asarray(self.obj, dtype=np.float64)
 
-    def build_zones(self):
-        return [zone_from_config(z) for z in self.zones]
-
 
 class KinematicEnv:
-    """Velocity-controlled point agent; field_fn(s, a) is the truth less the
+    """Velocity-controlled point agents, one row of `state` per seed, each
+    with its own RNG stream; field_fn(S, A) is the truth less the
     disturbance, E a when not given."""
 
-    def __init__(self, config: EnvConfig, seed: int = 0, field_fn=None):
+    def __init__(self, config: EnvConfig, seeds, field_fn=None):
         self.cfg = config
-        if field_fn is None:
-            gain = np.eye(config.n_state, config.n_action)
-            field_fn = lambda s, a: gain @ a
-        self.field_fn = field_fn
-        self._rng = None
-        self.state = None
-        self.latched = False
-        self.reset(seed)
+        gain_t = np.eye(config.n_state, config.n_action).T
+        self.field_fn = field_fn or (lambda S, A: A @ gain_t)
+        self.reset(seeds)
 
-    def reset(self, seed: int = 0):
-        self._rng = np.random.default_rng(np.random.SeedSequence(seed))
-        s0 = self.cfg.start.copy()
-        if self.cfg.start_spread > 0:
-            n_pos = min(3, self.cfg.n_state)
-            s0[:n_pos] += self._rng.uniform(
-                -self.cfg.start_spread, self.cfg.start_spread, n_pos
-            )
-        self.state = s0
-        self.latched = False
-        self._episode_bias = None
-        if self.cfg.disturbance_mode == "episode":
-            self._episode_bias = self._draw_disturbance()
+    def reset(self, seeds):
+        cfg = self.cfg
+        self._rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
+        self.state = np.tile(cfg.start, (len(self._rngs), 1))
+        if cfg.start_spread > 0:
+            n_pos = min(3, cfg.n_state)
+            for s, rng in zip(self.state, self._rngs):
+                s[:n_pos] += rng.uniform(-cfg.start_spread, cfg.start_spread, n_pos)
+        self.latched = np.zeros(len(self._rngs), dtype=bool)
+        self._episode_bias = self._draw_disturbance() if cfg.disturbance_mode == "episode" \
+            else None
+        # run_episodes drops this observation and observes afresh; the dropped
+        # draw is part of every noisy episode's stream, so it must stay
         return self.observe()
 
     def observe(self) -> np.ndarray:
         if self.cfg.obs_noise > 0:
-            return self.state + self._rng.normal(0.0, self.cfg.obs_noise, self.cfg.n_state)
+            n, sd = self.cfg.n_state, self.cfg.obs_noise
+            return self.state + np.array([rng.normal(0.0, sd, n) for rng in self._rngs])
         return self.state.copy()
 
     def _draw_disturbance(self) -> np.ndarray:
-        if self.cfg.w_max == 0.0:
-            return np.zeros(self.cfg.n_state)
-        d = self._rng.uniform(-1.0, 1.0, self.cfg.n_state)
-        d /= max(np.abs(d).sum(), 1e-300)
-        return self.cfg.w_max * self._rng.uniform(0.0, 1.0) * d
+        n, w_max = self.cfg.n_state, self.cfg.w_max
+        if w_max == 0.0:
+            return np.zeros((len(self._rngs), n))
+        w = np.empty((len(self._rngs), n))
+        for k, rng in enumerate(self._rngs):
+            d = rng.uniform(-1.0, 1.0, n)
+            d /= max(np.abs(d).sum(), 1e-300)
+            w[k] = w_max * rng.uniform(0.0, 1.0) * d
+        return w
 
     def step(self, a) -> np.ndarray:
-        """Clamp the action, integrate one dt with a constant disturbance draw,
-        return the (possibly noisy) observation."""
-        a = np.clip(np.asarray(a, dtype=np.float64), -self.cfg.a_max, self.cfg.a_max)
+        """Clamp the actions a (B, n_action), integrate every row one dt with
+        a constant disturbance draw in one rk4 call, return the (possibly
+        noisy) observations (B, n_state)."""
+        a = clamp(np.array(a, dtype=np.float64), self.cfg.a_max)
         w = self._episode_bias if self._episode_bias is not None else self._draw_disturbance()
         self.state = _step_rk4(lambda s, _a: self.field_fn(s, _a) + w, self.state, a, self.cfg.dt)
-        if self.cfg.task == "transport" and not self.latched and self.cfg.obj is not None:
-            if np.linalg.norm(self.state[:3] - self.cfg.obj) <= self.cfg.latch_tol:
-                self.latched = True
+        if self.cfg.task == "transport" and self.cfg.obj is not None:
+            self.latched |= _distance(self.state[:, :3], self.cfg.obj) <= self.cfg.latch_tol
         return self.observe()
+
+
+def _distance(points, target) -> np.ndarray:
+    """np.linalg.norm(p - target) for each row p of points, bitwise."""
+    d = points - target
+    return np.sqrt(rowdot(d, d))
 
 
 # -- policies --------------------------------------------------------------------
@@ -126,7 +131,6 @@ class ClfPolicy:
         self.model = model
         self.path = path
         self.beta = beta
-        self.tracker = None
         self.reset()
 
     def reset(self, seed: int | None = None):
@@ -154,6 +158,10 @@ class ScriptedPolicy:
 
     def reset(self, seed: int | None = None):
         self.expert.reset(seed)
+
+    def __copy__(self):
+        # a copy rolls an episode of its own: its own latch and dither stream
+        return ScriptedPolicy(replace(self.expert))
 
     def act(self, obs, t: int) -> np.ndarray:
         return self.expert.action(obs)
@@ -186,128 +194,124 @@ class TrajectoryLog:
     filter_margins: np.ndarray | None = None  # (H, k2) per-constraint b when shielded
 
 
-def zone_margins(zones, position) -> np.ndarray:
-    return np.array([z.hard_value(position) for z in zones]) if zones else np.zeros(0)
+def zone_margins(zones, positions) -> np.ndarray:
+    """Hard zone margins (B, k) of positions (B, 3)."""
+    return np.array([z.hard_value_batch(positions) for z in zones]).T if zones \
+        else np.zeros((len(positions), 0))
 
 
-def run_episode(policy, env_cfg: EnvConfig, seed: int, shield=None,
+def run_episode(policy, env_cfg: EnvConfig, seed, shield=None,
                 path: ReferencePath | None = None):
-    """Roll one seeded episode; returns (EpisodeResult, TrajectoryLog).
+    """Roll one seeded episode; returns (EpisodeResult, TrajectoryLog)."""
+    return run_episodes([policy], env_cfg, [seed], shield, path)[0]
+
+
+def run_episodes(policies, env_cfg: EnvConfig, seeds, shield=None,
+                 path: ReferencePath | None = None) -> list:
+    """Roll one seeded episode per (policy, seed) pair in lockstep; returns
+    their (EpisodeResult, TrajectoryLog) pairs in seed order. Each policy is
+    reset with its seed and acts for its episode alone.
 
     The nominal action is clamped to the actuator box before filtering (the
     filter expects a_des inside the box). Success predicates: reach = position
     within goal_tol of the goal by the horizon; transport = object latched and
     delivered within goal_tol; path-follow = within goal_tol of the final
     waypoint. Collision means any hard-max zone margin < 0 along the true
-    trajectory. Episodes always run the full horizon; `steps` records the
-    first success time.
+    trajectory. An episode runs the full horizon unless its policy returns a
+    non-finite action, which aborts it alone; `steps` is the first success time.
     """
-    env = KinematicEnv(env_cfg, seed=seed)
-    zones = env_cfg.build_zones()
-    policy.reset(seed)
+    env = KinematicEnv(env_cfg, seeds)
+    zones = [zone_from_config(z) for z in env_cfg.zones]
+    for policy, seed in zip(policies, seeds):
+        policy.reset(seed)
     obs = env.observe()
 
-    h, n, m = env_cfg.horizon, env_cfg.n_state, env_cfg.n_action
-    states = np.empty((h + 1, n))
-    a_des_log = np.zeros((h, m))
-    a_safe_log = np.zeros((h, m))
-    margins = np.empty((h + 1, len(zones))) if zones else np.zeros((h + 1, 0))
-    slack = np.zeros(h)
-    solve_us = np.zeros(h)
-
+    e, h, n, m = len(seeds), env_cfg.horizon, env_cfg.n_state, env_cfg.n_action
+    # time-major logs: step t's rows are one block, written in place as views
+    states = np.empty((h + 1, e, n))
+    a_des_log, a_safe_log = np.zeros((2, h, e, m))
+    margins = np.empty((h + 1, e, len(zones)))
+    slack, solve_us, spent_s = np.zeros((3, h, e))
+    filter_margins = None if shield is None else np.zeros((h, e, len(shield.config.constraints)))
     states[0] = env.state
-    if zones:
-        margins[0] = zone_margins(zones, env.state[:3])
-    filter_margins = (
-        np.zeros((h, len(shield.config.constraints))) if shield is not None else None
-    )
-    success_at = None
-    infer_total = 0.0
-    slack_events = 0
-    fallback_events = 0
-    aborted = False
-    steps_run = 0
+    margins[0] = zone_margins(zones, env.state[:, :3])
+    success_at = [0] * e  # 0 until the goal is reached
+    steps_run, aborted, slack_events, fallback_events = [h] * e, [False] * e, [0] * e, [0] * e
+    live, pending = list(range(e)), list(range(e))  # not aborted; and not yet succeeded
 
+    # An aborted episode's row rides along with a zero action and its log is
+    # cut at the abort, so every step works on whole arrays.
     for t in range(h):
-        t0 = time.perf_counter()
-        a_des = np.asarray(policy.act(obs, t), dtype=np.float64)
-        if not np.all(np.isfinite(a_des)):
-            aborted = True
-            break
-        a_des = np.clip(a_des, -env_cfg.a_max, env_cfg.a_max)
+        a_des, a, spent = a_des_log[t], a_safe_log[t], spent_s[t]
+        for i in live:
+            t0 = clock()
+            a_des[i] = policies[i].act(obs[i], t)
+            spent[i] = clock() - t0
+        if not np.isfinite(a_des).all():
+            bad = ~np.isfinite(a_des).all(axis=1)
+            for i in np.flatnonzero(bad):
+                steps_run[i], aborted[i] = t, True
+            a_des[bad] = 0.0
+            live = [i for i in live if not bad[i]]
+            pending = [i for i in pending if not bad[i]]
+            if not live:
+                break
+        clamp(a_des, env_cfg.a_max)
+        a[:] = a_des
         if shield is not None:
-            report = shield.filter(a_des, obs)
-            a = report.a_safe
-            slack[t] = report.slack_used
-            solve_us[t] = report.solve_time * 1e6
-            filter_margins[t] = report.margins
-            if report.fallback:
-                fallback_events += 1
-            elif report.infeasible:
-                slack_events += 1
-        else:
-            a = a_des
-            solve_us[t] = (time.perf_counter() - t0) * 1e6
-        infer_total += time.perf_counter() - t0
+            for i in live:
+                t0 = clock()
+                report = shield.filter(a_des[i], obs[i])
+                spent[i] += clock() - t0
+                a[i] = report.a_safe
+                slack[t, i] = report.slack_used
+                solve_us[t, i] = report.solve_time * 1e6
+                filter_margins[t, i] = report.margins
+                fallback_events[i] += report.fallback
+                slack_events[i] += report.infeasible and not report.fallback
         obs = env.step(a)
-        a_des_log[t] = a_des
-        a_safe_log[t] = a
         states[t + 1] = env.state
-        if zones:
-            margins[t + 1] = zone_margins(zones, env.state[:3])
-        steps_run = t + 1
-        if success_at is None and _task_success(env, env_cfg, path):
-            success_at = t + 1
+        margins[t + 1] = zone_margins(zones, env.state[:, :3])
+        if pending:
+            reached = _task_success(env.state[:, :3], env.latched, env_cfg, path)
+            for i in pending:
+                if reached[i]:
+                    success_at[i] = t + 1
+            pending = [i for i in pending if not reached[i]]
+    if shield is None:
+        solve_us = spent_s * 1e6
 
-    success = success_at is not None and not aborted
-    collided = bool(zones) and bool((margins[: steps_run + 1] < 0.0).any())
-    min_margin = float(margins[: steps_run + 1].min()) if zones else float("nan")
-    if path is not None and steps_run:
-        tracking = float(
-            path.distance_to(states[1 : steps_run + 1, : path.waypoints.shape[1]]).mean()
+    episodes = []
+    for i in range(e):
+        r = steps_run[i]
+        tracking = float("nan") if path is None or not r else \
+            float(path.distance_to(states[1 : r + 1, i, : path.waypoints.shape[1]]).mean())
+        result = EpisodeResult(
+            success=bool(success_at[i]) and not aborted[i], tracking_dev=tracking,
+            collided=bool(zones) and bool((margins[: r + 1, i] < 0.0).any()),
+            min_margin=float(margins[: r + 1, i].min()) if zones else float("nan"),
+            steps=success_at[i] or r, inference_time_ms=1e3 * spent_s[:r, i].sum() / max(1, r),
+            slack_events=slack_events[i], fallback_events=fallback_events[i], aborted=aborted[i],
         )
-    else:
-        tracking = float("nan")
-
-    result = EpisodeResult(
-        success=success,
-        collided=collided,
-        min_margin=min_margin,
-        tracking_dev=tracking,
-        steps=success_at if success_at is not None else steps_run,
-        inference_time_ms=1e3 * infer_total / max(1, steps_run),
-        slack_events=slack_events,
-        fallback_events=fallback_events,
-        aborted=aborted,
-    )
-    log = TrajectoryLog(
-        states=states[: steps_run + 1],
-        a_des=a_des_log[:steps_run],
-        a_safe=a_safe_log[:steps_run],
-        margins=margins[: steps_run + 1],
-        slack=slack[:steps_run],
-        solve_time_us=solve_us[:steps_run],
-        filter_margins=None if filter_margins is None else filter_margins[:steps_run],
-    )
-    return result, log
-
-
-def _task_success(env: KinematicEnv, cfg: EnvConfig, path) -> bool:
-    pos = env.state[:3]
-    if cfg.task == "reach":
-        return cfg.goal is not None and np.linalg.norm(pos - cfg.goal[:3]) <= cfg.goal_tol
-    if cfg.task == "transport":
-        return (
-            env.latched
-            and cfg.goal is not None
-            and np.linalg.norm(pos - cfg.goal[:3]) <= cfg.goal_tol
+        log = TrajectoryLog(
+            states=states[: r + 1, i].copy(), a_des=a_des_log[:r, i].copy(),
+            a_safe=a_safe_log[:r, i].copy(), margins=margins[: r + 1, i].copy(),
+            slack=slack[:r, i].copy(), solve_time_us=solve_us[:r, i].copy(),
+            filter_margins=None if filter_margins is None else filter_margins[:r, i].copy(),
         )
-    if cfg.task == "path-follow":
-        if path is None:
-            return False
-        final = path.waypoints[-1][:3]
-        return np.linalg.norm(pos - final) <= cfg.goal_tol
-    raise ValueError(f"unknown task {cfg.task!r}")
+        episodes.append((result, log))
+    return episodes
+
+
+def _task_success(positions, latched, cfg: EnvConfig, path) -> np.ndarray:
+    """Whether each row of positions (B, 3) meets the task's success predicate."""
+    if cfg.task not in ("reach", "transport", "path-follow"):
+        raise ValueError(f"unknown task {cfg.task!r}")
+    target = cfg.goal if cfg.task != "path-follow" else None if path is None else path.waypoints[-1]
+    if target is None:
+        return np.zeros(len(positions), dtype=bool)
+    hit = _distance(positions, target[:3]) <= cfg.goal_tol
+    return hit & latched if cfg.task == "transport" else hit
 
 
 # -- batch metrics ---------------------------------------------------------------
@@ -326,9 +330,7 @@ def compute_metrics(results_by_seed: dict[int, list[EpisodeResult]],
         raise ValueError("empty batch")
 
     def per_seed(fn):
-        vals = np.array([
-            float(np.mean([fn(r) for r in results])) for results in results_by_seed.values()
-        ])
+        vals = np.array([float(np.mean([fn(r) for r in rs])) for rs in results_by_seed.values()])
         return {"mean": float(vals.mean()), "std": float(vals.std())}
 
     summary = {
@@ -337,16 +339,14 @@ def compute_metrics(results_by_seed: dict[int, list[EpisodeResult]],
         "collision_rate": per_seed(lambda r: float(r.collided)),
         "inference_time_ms": per_seed(lambda r: r.inference_time_ms),
     }
-    margins = [r.min_margin for rs in results_by_seed.values() for r in rs]
-    if np.all(np.isfinite(margins)):
+    results = [r for rs in results_by_seed.values() for r in rs]
+    if np.all(np.isfinite([r.min_margin for r in results])):
         summary["safe_margin"] = per_seed(lambda r: r.min_margin)
-    tracking = [r.tracking_dev for rs in results_by_seed.values() for r in rs]
-    if np.all(np.isfinite(tracking)):
+    if np.all(np.isfinite([r.tracking_dev for r in results])):
         summary["tracking_dev_m"] = per_seed(lambda r: r.tracking_dev)
     if bounds is not None:
         summary["sdot_error"] = bounds.get("e_sdot")
         summary["s_error"] = bounds.get("e_s")
-    results = [r for rs in results_by_seed.values() for r in rs]
     summary["episodes"] = len(results)
     summary["slack_events"] = sum(r.slack_events for r in results)
     summary["fallback_events"] = sum(r.fallback_events for r in results)

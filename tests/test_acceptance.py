@@ -155,21 +155,23 @@ def test_criterion_4_theorem_invariance_property(default_stack):
     env_cfg = EnvConfig(n_state=3, n_action=3, task="reach", goal=GOAL,
                         start=START[:3], start_spread=0.01, w_max=w_budget,
                         zones=[zone_cfg])
+    # the env steps row batches; each row's truth is the model's own field
+    field = lambda S, A: np.array([model.field(s, a) for s, a in zip(S, A)])
     violations = 0
     worst = np.inf
     max_step_err = 0.0
     for seed in range(100):
-        env = KinematicEnv(env_cfg, seed=(4, seed), field_fn=model.field)
-        obs = env.observe()
-        states = [env.state.copy()]
-        assert zone.hard_value(env.state) > 0, "start must be safe"
+        env = KinematicEnv(env_cfg, [(4, seed)], field_fn=field)
+        obs = env.observe()[0]
+        states = [env.state[0].copy()]
+        assert zone.hard_value(env.state[0]) > 0, "start must be safe"
         for t in range(100):
             a = np.clip(knn.action(obs), -0.05, 0.05)
             rep = shield.filter(a, obs)
-            pred = dyn.integrate(model.field, env.state, rep.a_safe[None, :], dt)[-1]
-            obs = env.step(rep.a_safe)
-            max_step_err = max(max_step_err, float(np.abs(env.state - pred).sum()))
-            states.append(env.state.copy())
+            pred = dyn.integrate(model.field, env.state[0], rep.a_safe[None, :], dt)[-1]
+            obs = env.step(rep.a_safe[None, :])[0]
+            max_step_err = max(max_step_err, float(np.abs(env.state[0] - pred).sum()))
+            states.append(env.state[0].copy())
         states = np.asarray(states)
         steps = np.linalg.norm(np.diff(states, axis=0), axis=1)
         margins = np.array([zone.hard_value(s) for s in states])

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier, cross3, zone_from_config
+from safectl.barriers import (CylinderZone, SphereZone, TaskSpaceBarrier, cross3, rowdot,
+                              zone_from_config)
 
 
 def central_diff_grad(fn, x, eps=1e-6):
@@ -319,3 +320,25 @@ def test_cross3_is_bitwise_np_cross(X, v, ex, ev):
         want = np.cross(a, b)
         got = cross3(a, b)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)),
+              elements=st.floats(-1.0, 1.0)),
+       arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+       st.integers(-9, 2))
+def test_row_batches_are_bitwise_the_one_point_products(X, v, ex):
+    # rowdot is the 1-D BLAS dot row by row; the hard values built on it are
+    # the one-point formulas, so a lockstep episode's margins are its own
+    X = X * 10.0**ex
+    for a, b in ((X, v), (X, X[::-1])):
+        want = [x @ y for x, y in zip(a, np.broadcast_to(b, a.shape))]
+        assert rowdot(a, b).tolist() == [float(w) for w in want]
+    cyl = CylinderZone([0.1, 0.0, 0.05], [0.3, 0.4, 0.5], 0.05, 0.1)
+    rel = X - cyl.point
+    want = [max(float(np.linalg.norm(cross3(r, cyl.axis)) - cyl.radius),
+                float(abs(r @ cyl.axis) - 0.5 * cyl.length)) for r in rel]
+    assert cyl.hard_value_batch(X).tolist() == want
+    assert [cyl.hard_value(x) for x in X] == want
+    sphere = SphereZone([0.1, 0.2, 0.0], 0.07)
+    assert sphere.hard_value_batch(X).tolist() == [sphere.hard_value(x) for x in X]

@@ -1,21 +1,27 @@
-"""The program names the benchmark reaches by name still exist.
+"""The program names the benchmark reaches by name still exist, and the
+probe's readings mean what the benchmark takes them to mean.
 
 bench/tracing.py patches methods and module functions through
 `owner.__dict__[attr]`, so deleting or renaming one of them raises KeyError
 in every traced benchmark run. These checks find that here, in well under a
-second, without running the benchmark.
+second, without running the benchmark. The probe tests run the CLI in-process
+as the benchmark does: unshielded, one timing per policy `act` call however
+episodes are batched; shielded, one filter record per step, grouped by
+episode in episode-file order.
 """
 
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
 
 import tracing  # noqa: E402
-from safectl import qp  # noqa: E402
+from safectl import cli, qp  # noqa: E402
 from safectl.dynamics import NeuralOdeModel  # noqa: E402
 from safectl.shield import SafetyShield  # noqa: E402
 
@@ -78,3 +84,43 @@ def test_slack_solve_calls_solve_through_the_module_name(monkeypatch, feasible, 
     assert len(seen) == calls
     assert all(rows == 2 for rows, _ in seen)
     assert seen[-1][1] == (1 if feasible else 2)
+
+
+def probed(shielded: bool, *argv, exit_code=cli.EXIT_OK):
+    """Run one CLI stage with a probe installed; returns the probe."""
+    probe = tracing.Probe(shielded=shielded)
+    probe.install()
+    try:
+        code = cli.main([str(a) for a in argv])
+    finally:
+        probe.uninstall()
+    assert code == exit_code
+    return probe
+
+
+def test_unshielded_probe_times_every_act_call_once(tmp_path):
+    # ten steps reach no goal: the stage reports the failure rate and exits 4
+    probe = probed(False, "gen-demos", "--config", BENCH / "scenes" / "fit.json",
+                   "--out", tmp_path, "--n", 3, "--set", "env.horizon=10",
+                   exit_code=cli.EXIT_THRESHOLD)
+    assert len(probe.step_s) == 30
+    assert probe.records == []
+
+
+def test_shielded_probe_records_run_episode_by_episode_in_file_order(tmp_path):
+    scene = BENCH / "scenes" / "reach_knn.json"
+    common = ["--config", scene, "--out", tmp_path]
+    assert cli.main(["gen-demos", *map(str, common), "--n", "20",
+                     "--set", "env.horizon=100"]) == 0
+    for name in (cli.MODEL_FULL, cli.MODEL_POS):
+        shutil.copyfile(BENCH / "fixtures" / name, tmp_path / name)
+    assert cli.main(["quantify", *map(str, common)]) == 0
+    probe = probed(True, "run", *common, "--episodes", 2, "--set", "env.horizon=20")
+
+    files = sorted((tmp_path / "episodes").glob("ep*_*.csv"))
+    assert [f.name for f in files] == ["ep0_000.csv", "ep0_001.csv"]
+    # columns: t, s0..s3, a_des0..a_des3, a_safe0..a_safe3, margins, slack, solve time
+    logged = np.vstack([np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2) for f in files])
+    assert len(probe.records) == len(probe.step_s) == logged.shape[0] == 40
+    assert np.array_equal(np.array([r[1] for r in probe.records]), logged[:, 5:9])
+    assert np.array_equal(np.array([r[2].a_safe for r in probe.records]), logged[:, 9:13])

@@ -12,7 +12,7 @@ import pytest
 from safectl import cli
 from safectl import config as cfgmod
 from safectl import dynamics as dyn
-from safectl.sim import ClfPolicy, compute_metrics, run_episode
+from safectl.sim import ClfPolicy, TrajectoryLog, compute_metrics, run_episode
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -513,11 +513,70 @@ class TestEpisodeLoop:
         devs = [float(d) for _, d in rows]
         assert all(np.isfinite(devs)) and devs[0] != devs[1]
 
+    def test_beta_sweep_on_knn_config_without_a_path_follows_the_default_path(self, staged):
+        # the validated CLF config gains the default straight path, as `run` does
+        out, write_config = staged
+        proc = run_cli("sweep", "--config", str(write_config(KNN)), "--out", str(out),
+                       "--param", "beta", "--values", "5,25")
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "sweep_beta.csv").read_text() == old_sweep(
+            cfgmod.validate(copy.deepcopy(KNN_PATH)), out, "beta", [5.0, 25.0])
+
     def test_gen_demos_judges_path_follow_against_the_path(self, tmp_path):
         proc = run_cli("gen-demos", "--config", str(ROOT / "configs" / "path_gamma_sweep.json"),
                        "--out", str(tmp_path / "o"), "--n", "20")
         assert proc.returncode == 0, proc.stderr
         assert "(20/20 reached the goal)" in proc.stdout
+
+
+# -- episode CSVs -------------------------------------------------------------
+
+
+def old_write_episode_csv(path, log, n_state, n_action):
+    """The episode CSV writer as it was, one float() and repr per value."""
+    cols = ["t"]
+    cols += [f"s{i}" for i in range(n_state)]
+    cols += [f"a_des{i}" for i in range(n_action)]
+    cols += [f"a_safe{i}" for i in range(n_action)]
+    k = log.filter_margins.shape[1] if log.filter_margins is not None else log.margins.shape[1]
+    cols += [f"margin{i}" for i in range(k)]
+    cols += ["slack", "solve_time_us"]
+    lines = [",".join(cols)]
+    for t in range(log.a_des.shape[0]):
+        m = log.filter_margins[t] if log.filter_margins is not None else log.margins[t + 1]
+        row = [str(t)]
+        row += [repr(float(v)) for v in log.states[t + 1]]
+        row += [repr(float(v)) for v in log.a_des[t]]
+        row += [repr(float(v)) for v in log.a_safe[t]]
+        row += [repr(float(v)) for v in m]
+        row += [repr(float(log.slack[t])), repr(float(log.solve_time_us[t]))]
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestEpisodeCsv:
+    @pytest.mark.parametrize("shielded", [False, True])
+    def test_bytes_match_the_per_value_writer(self, tmp_path, shielded):
+        env_cfg = cfgmod.build_env(cfgmod.validate(copy.deepcopy(BASE_CONFIG)))
+        policy, _ = cfgmod.build_policy(cfgmod.validate(
+            {**copy.deepcopy(BASE_CONFIG), "policy": {"type": "scripted"}}))
+        _, rec = run_episode(policy, env_cfg, seed=(0, 1))
+        log = TrajectoryLog(**{k: v.copy() for k, v in vars(rec).items() if v is not None})
+        if shielded:
+            log.filter_margins = np.linspace(-1.0, 1.0, 2 * len(log.slack)).reshape(-1, 2)
+            log.filter_margins[3] = [-0.0, 5e-324]
+        # values whose text is easy to get wrong: signed zero, subnormals, extremes
+        log.states[1, :3] = [-0.0, 5e-324, -2.2250738585072014e-308]
+        log.a_des[0, :2] = [1e300, -1e-300]
+        log.a_safe[2, 0] = -0.0
+        log.margins[4] = -0.0
+        log.slack[1], log.solve_time_us[0] = -0.0, 123.456
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        cli._write_episode_csv(new, log, env_cfg.n_state, env_cfg.n_action)
+        old_write_episode_csv(old, log, env_cfg.n_state, env_cfg.n_action)
+        assert new.read_bytes() == old.read_bytes()
+        assert new.read_text().splitlines()[1].startswith("0,")
+        assert ",-0.0," in new.read_text() and "5e-324" in new.read_text()
 
 
 # -- each stage parses only the demonstrations it uses ---------------------------

@@ -1,5 +1,10 @@
+import math
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOAL, START, make_demos, reach_env, zone_on_path
 from safectl.barriers import CylinderZone, SphereZone
@@ -12,29 +17,33 @@ from safectl.sim import (
     KinematicEnv,
     KnnPolicy,
     ScriptedPolicy,
+    TrajectoryLog,
     compute_metrics,
     run_episode,
+    run_episodes,
     zone_margins,
 )
 
 
 class TestStep:
+    """One env row at a time: step takes (B, n_action) actions, state is (B, n_state)."""
+
     def test_pure_integrator_step(self):
-        env = KinematicEnv(EnvConfig(start=np.array([0.1, 0.1, 0.1, 0.0])), seed=0)
-        a = np.array([0.02, -0.01, 0.03, 0.0])
+        env = KinematicEnv(EnvConfig(start=np.array([0.1, 0.1, 0.1, 0.0])), [0])
+        a = np.array([[0.02, -0.01, 0.03, 0.0]])
         env.step(a)
-        assert np.allclose(env.state, [0.102, 0.099, 0.103, 0.0], atol=1e-15)
+        assert np.allclose(env.state[0], [0.102, 0.099, 0.103, 0.0], atol=1e-15)
 
     def test_zero_action_zero_field_state_unchanged(self):
-        env = KinematicEnv(EnvConfig(start=np.array([0.2, 0.1, 0.0, 0.0])), seed=0)
+        env = KinematicEnv(EnvConfig(start=np.array([0.2, 0.1, 0.0, 0.0])), [0])
         s0 = env.state.copy()
-        env.step(np.zeros(4))
+        env.step(np.zeros((1, 4)))
         assert np.array_equal(env.state, s0)
 
     def test_action_clamped_to_box(self):
-        env = KinematicEnv(EnvConfig(start=np.zeros(4), a_max=0.05), seed=0)
-        env.step(np.array([10.0, -10.0, 0.0, 0.0]))
-        assert np.allclose(env.state, [0.005, -0.005, 0.0, 0.0], atol=1e-15)
+        env = KinematicEnv(EnvConfig(start=np.zeros(4), a_max=0.05), [0])
+        env.step(np.array([[10.0, -10.0, 0.0, 0.0]]))
+        assert np.allclose(env.state[0], [0.005, -0.005, 0.0, 0.0], atol=1e-15)
 
     def test_rk4_matches_fine_step_reference(self):
         rng = np.random.default_rng(0)
@@ -44,30 +53,30 @@ class TestStep:
             B = rng.normal(size=(n, n)) * 0.3
             field = lambda s, _a: A @ s + B @ _a
             cfg = EnvConfig(n_state=n, n_action=n, start=rng.normal(size=n) * 0.1, a_max=1.0)
-            env = KinematicEnv(cfg, seed=0, field_fn=field)
+            env = KinematicEnv(cfg, [0], field_fn=lambda S, _A: S @ A.T + _A @ B.T)
             a = rng.uniform(-0.5, 0.5, n)
-            s0 = env.state.copy()
-            env.step(a)
+            s0 = env.state[0].copy()
+            env.step(a[None, :])
             fine = integrate(field, s0, np.tile(a, (100, 1)), dt=cfg.dt / 100)[-1]
-            assert np.max(np.abs(env.state - fine)) < 1e-8
+            assert np.max(np.abs(env.state[0] - fine)) < 1e-8
 
     def test_disturbance_bounded_and_seeded(self):
         cfg = EnvConfig(start=np.zeros(4), w_max=0.03)
-        e1 = KinematicEnv(cfg, seed=5)
-        e2 = KinematicEnv(cfg, seed=5)
+        e1 = KinematicEnv(cfg, [5])
+        e2 = KinematicEnv(cfg, [5])
         for _ in range(20):
-            e1.step(np.zeros(4))
-            e2.step(np.zeros(4))
+            e1.step(np.zeros((1, 4)))
+            e2.step(np.zeros((1, 4)))
             assert np.array_equal(e1.state, e2.state)
         # zero action, zero field: all motion comes from w; per-step L1 <= w_max*dt
-        assert np.abs(np.diff([0.0] + [e1.state[0]])).max() <= 0.03 * 0.1 * 20
+        assert np.abs(np.diff([0.0] + [e1.state[0, 0]])).max() <= 0.03 * 0.1 * 20
 
     def test_episode_disturbance_mode_constant_bias(self):
         cfg = EnvConfig(start=np.zeros(4), w_max=0.03, disturbance_mode="episode")
-        env = KinematicEnv(cfg, seed=3)
-        env.step(np.zeros(4))
+        env = KinematicEnv(cfg, [3])
+        env.step(np.zeros((1, 4)))
         first = env.state.copy()
-        env.step(np.zeros(4))
+        env.step(np.zeros((1, 4)))
         assert np.allclose(env.state, 2 * first, atol=1e-15)  # constant drift
 
 
@@ -161,12 +170,90 @@ class TestRunEpisode:
         assert result.tracking_dev == pytest.approx(0.0, abs=1e-12)
 
 
+class NanAt:
+    """Wraps a policy; returns NaN actions from step k on."""
+
+    def __init__(self, policy, k):
+        self.policy, self.k = policy, k
+
+    def reset(self, seed=None):
+        self.policy.reset(seed)
+
+    def act(self, obs, t):
+        a = self.policy.act(obs, t)
+        return np.full(len(a), np.nan) if t >= self.k else a
+
+
+OBJ = np.array([0.14, 0.15, 0.09])
+CYLINDER = {"type": "cylinder", "point": [0.25, 0.22, 0.1], "axis": [0, 0, 1],
+            "radius": 0.02, "length": 0.08}
+
+
+def same_floats(a, b) -> bool:
+    """Equal shapes and equal bytes: -0.0 and NaN payloads count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLockstep:
+    """A lockstep batch is the serial episodes, bit for bit, timing aside."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        task=st.sampled_from(["reach", "transport", "path-follow"]),
+        policy_kind=st.sampled_from(["scripted", "clf"]),
+        w_max=st.sampled_from([0.0, 0.02]),
+        mode=st.sampled_from(["step", "episode"]),
+        obs_noise=st.sampled_from([0.0, 1e-3]),
+        zones=st.booleans(),
+        n=st.integers(1, 4),
+        master=st.integers(0, 2**16),
+        nan=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 20))),
+    )
+    def test_batch_equals_one_episode_at_a_time(self, task, policy_kind, w_max, mode,
+                                                 obs_noise, zones, n, master, nan):
+        goal = np.array([0.26, 0.26, 0.13]) if task == "transport" else GOAL
+        path = path_from_config({"type": "straight", "start": START[:3].tolist(),
+                                 "direction": (goal - START[:3]).tolist(),
+                                 "length": float(np.linalg.norm(goal - START[:3]))}, 4)
+        env = EnvConfig(task=task, goal=goal, obj=OBJ if task == "transport" else None,
+                        start=START, start_spread=0.01, w_max=w_max, disturbance_mode=mode,
+                        obs_noise=obs_noise, horizon=40,
+                        zones=[zone_on_path(), CYLINDER] if zones else [])
+        seeds = [(master, i) for i in range(n)]
+
+        def policy(i):
+            if policy_kind == "clf":
+                p = ClfPolicy(AffineModel.integrator(4), path, 15.0)
+            else:
+                p = ScriptedPolicy(ScriptedExpert(goal=goal, a_max=0.05, dither=0.02,
+                                                  obj=OBJ if task == "transport" else None))
+            return NanAt(p, nan[1]) if nan is not None and nan[0] == i else p
+
+        batch = run_episodes([policy(i) for i in range(n)], env, seeds, path=path)
+        serial = [run_episode(policy(i), env, seed, path=path) for i, seed in enumerate(seeds)]
+        assert len(batch) == n
+        for i, ((r_b, log_b), (r_s, log_s)) in enumerate(zip(batch, serial)):
+            want, got = asdict(r_s), asdict(r_b)
+            for d in (want, got):
+                d.pop("inference_time_ms")
+            assert repr(got) == repr(want), i
+            for f in fields(TrajectoryLog):
+                if f.name != "solve_time_us":
+                    assert same_floats(getattr(log_b, f.name), getattr(log_s, f.name)), f.name
+            if nan is not None and nan[0] == i:
+                assert r_b.aborted and log_b.a_des.shape[0] == min(nan[1], 40)
+            else:
+                assert not r_b.aborted and log_b.a_des.shape[0] == 40
+            assert math.isnan(r_b.min_margin) != bool(zones)
+
+
 class TestZoneMargins:
     """The hard-max margins run_episode judges collisions by."""
 
     @staticmethod
     def series(zones, traj):
-        return np.array([zone_margins(zones, s[:3]) for s in traj])
+        return zone_margins(zones, traj[:, :3])
 
     def test_all_outside_no_violation(self):
         traj = np.linspace([1.0, 0, 0, 0], [1.0, 2.0, 0, 0], 20)
@@ -181,14 +268,14 @@ class TestZoneMargins:
 
     def test_hard_values_used_for_cylinders(self):
         zone = CylinderZone([0, 0, 0], [0, 0, 1], 1.0, 2.0)
-        margins = zone_margins([zone], np.array([1.0, 0.0, 0.0]))
+        margins = zone_margins([zone], np.array([[1.0, 0.0, 0.0]]))[0]
         # hard max of (0, -1) is exactly 0: not a violation, while the smooth
         # value would be negative
         assert margins[0] == pytest.approx(0.0, abs=1e-12)
         assert zone.value([1.0, 0.0, 0.0]) < 0.0
 
     def test_no_zones_no_margins(self):
-        assert zone_margins([], np.zeros(3)).shape == (0,)
+        assert zone_margins([], np.zeros((2, 3))).shape == (2, 0)
 
 
 class TestMetrics:
