@@ -12,9 +12,11 @@ Each barrier evaluates a batch of points at once through
 `value_and_grad_batch(X)`, X of shape (B, n), returning b (B,) and the
 gradients (B, n); the single-point `value_and_grad` and `value` are its B = 1
 case, as the zones' `hard_value` is the B = 1 case of `hard_value_batch`.
-Evaluation is pure; all barrier objects are immutable after
-construction and safe to share across workers. Hard (non-smoothed) values are
-exposed separately so smoothing slack can never hide a violation check.
+Each barrier declares `concavity`, the c in b(x + d) >= b(x) + grad . d -
+c ||d||^2, which the shield's discrete-time rows read. Evaluation is pure; all
+barrier objects are immutable after construction and safe to share across
+workers. Hard (non-smoothed) values are exposed separately so smoothing slack
+can never hide a violation check.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ def _single(barrier, x):
 class SphereZone:
     """Spherical no-go zone: b(x) = ||x - center||^2 - radius^2, grad = 2(x - center)."""
 
+    concavity = 0.0  # convex: b(x + d) >= b(x) + grad . d
+
     def __init__(self, center, radius: float):
         self.center = np.asarray(center, dtype=np.float64)
         self.radius = float(radius)
@@ -87,6 +91,8 @@ class CylinderZone:
     smooth b >= 0 implies hard-max b >= 0. tau defaults to 200 per meter
     (<= 3.5 mm of conservative slack).
     """
+
+    concavity = 0.0  # convex pieces and log-sum-exp: b(x + d) >= b(x) + grad . d
 
     def __init__(self, point, axis, radius: float, length: float, tau: float = 200.0):
         self.point = np.asarray(point, dtype=np.float64)
@@ -175,6 +181,8 @@ class TaskSpaceBarrier:
     returns whichever tied state the kd-tree finds. The gradient treats
     s_nearest as locally constant, exact within a Voronoi cell.
     """
+
+    concavity = 1.0  # the active piece: b_i(s + d) = b_i(s) + grad . d - ||d||^2
 
     def __init__(self, demo_states, radius: float = 0.5):
         states = np.asarray(demo_states, dtype=np.float64)

@@ -1,27 +1,26 @@
-"""Robust CBF-QP safety filter.
+"""Robust discrete-time CBF-QP safety filter.
 
-Each barrier b with the learned control-affine model (f, g) yields the
-forward-invariance condition
+Each barrier b with the learned control-affine model (f, g) gives one row at
+the observed state s, with one gamma for every row:
 
-    L_f b(y) + L_g b(y) a - robust(y) + gamma * b(y) >= 0,
+    L_f b(s) + L_g b(s) a - ||grad b(s)||_inf * e_sdot + (kappa / dt) * b(s) >= 0,
 
-with robust(y) = ||grad b(y)||_inf * e_sdot pairing the model's worst-case L1
-derivative error against the gradient (Hoelder duality). Every row, spatial
-or behavioral, uses the same gamma. State uncertainty widens the evaluation
-point into the box [s - e_s, s + e_s]; the condition is enforced at the
-center and at every box vertex, at most MAX_BOX_CORNERS of them (chosen by
-deterministic bit-reversal subsampling when there are more), which
-under-approximates the min over the box on the sampled set.
+kappa = 1 - exp(-gamma * dt), dt the binding model's step. Write the step as
+s' = s + dt * (f + g a + e), ||e||_1 <= e_sdot. A convex b lies above its
+tangent and Hoelder bounds grad b . e, so the row gives
+b(s') >= (1 - kappa) * b(s) (Agrawal & Sreenath 2017; Cosner et al. 2023).
+A task-space piece is concave, b_i(s + d) = b_i(s) + grad b_i . d - ||d||^2,
+so its row also subtracts dt * (||f|| + ||g|| * ||a_max|| + e_sdot)^2, which
+bounds ||d||^2 / dt over the action box, and b >= b_i* at s' carries the bound
+to b (Glotfelter et al. 2017). The guarantee assumes convex zone barriers (the
+sphere, the cylinder pieces and their log-sum-exp all are), an exact state,
+the action held for the whole step (zero-order hold), and an e_sdot that
+covers the applied action.
 
-Rows are built batched. The box points and the model evaluation depend only
-on the binding (position substate or full state), so each binding builds its
-box once and sends it through one `drift_and_gain_batch` call (one MLP
-forward), shared by every constraint on that binding. Per constraint, the box
-goes through one barrier `value_and_grad_batch` call (one kd-tree query for
-the task-space barrier), and the Lie derivatives and robust margins are
-formed with array operations. The center is the first box point, so the
-per-constraint margins the filter reports are the barrier values already
-computed for the center rows.
+Each binding (position substate or full state) sends its state through one
+`drift_and_gain_batch` call, shared by every constraint on it; each
+constraint makes one barrier `value_and_grad_batch` call, whose values are the
+margins the filter reports.
 
 The filter stacks spatial rows (position-substate model, acting on the
 linear-velocity action block) and the behavioral row (full-state model),
@@ -36,14 +35,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import qp
-from .dynamics import POSITION_DIMS, UncertaintyBounds
-
-MAX_BOX_CORNERS = 64  # box corners enforced per binding; more are subsampled
+from .dynamics import POSITION_DIMS
 
 
 @dataclass
@@ -60,16 +56,22 @@ class ConstraintSpec:
 
 @dataclass
 class ShieldConfig:
+    """gamma (1/s) is the per-step decay kappa = 1 - exp(-gamma * dt) of the
+    barriers, so gamma = inf is kappa = 1, the largest valid choice."""
+
     gamma: float = 10.0
     constraints: list = field(default_factory=list)
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not self.constraints:
             raise ValueError("at least one constraint is required")
+        if (self.lb is None or self.ub is None) and any(c.barrier.concavity
+                                                        for c in self.constraints):
+            raise ValueError("a concave barrier needs the action box lb, ub")
 
 
 @dataclass
@@ -84,39 +86,21 @@ class FilterReport:
     fallback: bool = False  # the relaxation failed too; a_safe is the hold action
 
 
-def _rows_at(barrier, Y, f, g, bounds: UncertaintyBounds, gamma: float):
-    """CBF rows at every evaluation point of Y (B, n), given the model's drift
-    f (B, n) and gain g (B, n, n_action) there: G = -L_g b (B, n_action),
-    h = L_f b - robust + gamma * b (B,), and the barrier values b (B,)."""
-    b, grad = barrier.value_and_grad_batch(Y)
+def _rows_at(barrier, y, f, g, e_sdot: float, dt: float, cfg: ShieldConfig):
+    """The CBF row at the state y (1, n), given the model's drift f (1, n) and
+    gain g (1, n, n_action) there: G = -L_g b (n_action,), the scalar h, and
+    the barrier value b."""
+    b, grad = barrier.value_and_grad_batch(y)
     lf = np.einsum("bi,bi->b", grad, f)
     lg = np.einsum("bi,bij->bj", grad, g)
-    margin = np.abs(grad).max(axis=1) * bounds.e_sdot
-    return -lg, lf - margin + gamma * b, b
-
-
-@lru_cache(maxsize=64)
-def _corner_signs(n: int) -> np.ndarray:
-    """+-1 sign rows of the first min(2^n, MAX_BOX_CORNERS) cube corners,
-    bit-reversed enumeration: row i has sign + on axis j iff bit n-1-j of i is
-    set. Read-only, because every caller shares the cached array."""
-    i = np.arange(min(1 << n, MAX_BOX_CORNERS))
-    signs = ((i[:, None] >> (n - 1 - np.arange(n))) & 1) * 2.0 - 1.0
-    signs.flags.writeable = False
-    return signs
-
-
-def box_vertices(center: np.ndarray, half_width: float) -> np.ndarray:
-    """Vertices of the axis-aligned box center +- half_width plus the center.
-
-    When 2^n exceeds MAX_BOX_CORNERS, corners are subsampled deterministically
-    by bit-reversed index, which spreads the kept corners across the cube.
-    Returns an array with the center as the first row.
-    """
-    if half_width == 0.0:
-        return center[None, :]
-    signs = _corner_signs(center.shape[0])
-    return np.vstack([center[None, :], center[None, :] + half_width * signs])
+    kappa = -np.expm1(-cfg.gamma * dt)  # 1 - exp(-gamma dt), accurate for small gamma dt
+    h = lf - np.abs(grad).max(axis=1) * e_sdot + kappa / dt * b
+    if barrier.concavity:
+        # ||s' - s||_2 <= dt * reach for every action in the box
+        a_max = np.linalg.norm(np.fmax(np.abs(cfg.lb), np.abs(cfg.ub)))
+        reach = np.linalg.norm(f, axis=1) + np.linalg.norm(g, 2, axis=(1, 2)) * a_max + e_sdot
+        h = h - barrier.concavity * dt * reach**2
+    return -lg[0], h[0], b[0]
 
 
 class SafetyShield:
@@ -141,39 +125,31 @@ class SafetyShield:
         return s
 
     def constraint_rows(self, s):
-        """Stacked (G, h) rows over all constraints and box vertices, in the
-        full action dimension (spatial rows zero-padded outside the
-        linear-velocity block)."""
+        """Stacked (G, h) rows, one per constraint, in the full action
+        dimension (spatial rows zero-padded outside the linear-velocity
+        block)."""
         G, h, _ = self.rows_and_margins(s)
         return G, h
 
     def rows_and_margins(self, s):
         """constraint_rows plus the per-constraint barrier value at s, read
-        from each constraint's center row instead of evaluating again.
-
-        Each constraint gives one row per point of the box around its
-        binding's state (the center first), so e_s = 0 gives one row. The box
-        points and their model evaluation (one MLP call) are built once per
-        binding and shared by every constraint on it."""
+        from the row building instead of evaluating again. The model is
+        evaluated once per binding and shared by every constraint on it."""
         cfg = self.config
         s = np.asarray(s, dtype=np.float64)
         n_action = self.models["full"].n_action if "full" in self.models else len(POSITION_DIMS)
-        at_box = {}  # binding -> (box points, f, g)
-        all_rows, all_rhs, margins = [], [], []
-        for spec in cfg.constraints:
-            bnd = self.bounds[spec.binding]
-            if spec.binding not in at_box:
-                pts = box_vertices(self._state_for(spec, s), bnd.e_s)
-                at_box[spec.binding] = (pts, *self.models[spec.binding].drift_and_gain_batch(pts))
-            rows, rhs, b = _rows_at(spec.barrier, *at_box[spec.binding], bnd, cfg.gamma)
-            if spec.binding == "position":
-                padded = np.zeros((rows.shape[0], n_action))
-                padded[:, list(POSITION_DIMS)] = rows
-                rows = padded
-            all_rows.append(rows)
-            all_rhs.append(rhs)
-            margins.append(b[0])
-        return np.vstack(all_rows), np.concatenate(all_rhs), np.array(margins)
+        k = len(cfg.constraints)
+        G, h, margins = np.zeros((k, n_action)), np.empty(k), np.empty(k)
+        at_state = {}  # binding -> (state, f, g)
+        for i, spec in enumerate(cfg.constraints):
+            model, bnd = self.models[spec.binding], self.bounds[spec.binding]
+            if spec.binding not in at_state:
+                y = self._state_for(spec, s)[None, :]
+                at_state[spec.binding] = (y, *model.drift_and_gain_batch(y))
+            cols = list(POSITION_DIMS) if spec.binding == "position" else slice(None)
+            G[i, cols], h[i], margins[i] = _rows_at(spec.barrier, *at_state[spec.binding],
+                                                    bnd.e_sdot, model.dt, cfg)
+        return G, h, margins
 
     def margins(self, s) -> np.ndarray:
         """Per-constraint barrier value at the current state."""

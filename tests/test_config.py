@@ -78,11 +78,12 @@ REMOVED_KEYS = {"shield.per_dim": False, "shield.gamma_behavioral": 3.0, "shield
 
 @pytest.mark.parametrize("dotted,value", REMOVED_KEYS.items(), ids=REMOVED_KEYS.keys())
 def test_removed_key_is_rejected(dotted, value):
-    # the shield has one behaviour: gamma on every row, the robust margin and
-    # state box always on, MAX_BOX_CORNERS corners and the default slack
-    # penalty; training is RMSprop at one epoch's worth of gradient steps; the
-    # CLF follower has V = ||s - s_des||^2 and one advance rule; the simulator's
-    # built-in truth is the integrator (KinematicEnv's field_fn injects another)
+    # the shield has one behaviour: gamma on every row, one row per
+    # constraint at the observed state with the robust margin always on, and
+    # the default slack penalty; training is RMSprop at one epoch's worth of
+    # gradient steps; the CLF follower has V = ||s - s_des||^2 and one advance
+    # rule; the simulator's built-in truth is the integrator (KinematicEnv's
+    # field_fn injects another)
     section, key = dotted.split(".")
     with pytest.raises(ConfigError, match=f"'{key}' was unexpected"):
         config.validate(bad([section, key], value))

@@ -1,20 +1,26 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import zone_on_path
-from safectl import qp
+from safectl import config, qp
 from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier
-from safectl.dynamics import POSITION_DIMS, AffineModel, NeuralOdeModel, UncertaintyBounds
+from safectl.dynamics import (POSITION_DIMS, AffineModel, Demonstration, NeuralOdeModel,
+                              UncertaintyBounds)
 from safectl.sim import EnvConfig, compute_metrics, run_episode
-from safectl.shield import (
-    MAX_BOX_CORNERS,
-    ConstraintSpec,
-    SafetyShield,
-    ShieldConfig,
-    box_vertices,
-)
+from safectl.shield import ConstraintSpec, SafetyShield, ShieldConfig
 
 ZERO = UncertaintyBounds(e_sdot=0.0, e_s=0.0)
+SCENES = Path(__file__).resolve().parent.parent / "bench" / "scenes"
+
+
+def rate(gamma, dt=0.1):
+    """kappa / dt, the factor on b in every row, for kappa = 1 - exp(-gamma dt)."""
+    return (1.0 - np.exp(-gamma * dt)) / dt
 
 
 def sphere_shield(gamma=1.0, bounds=ZERO, a_box=1.0, zone=None):
@@ -26,21 +32,35 @@ def sphere_shield(gamma=1.0, bounds=ZERO, a_box=1.0, zone=None):
 
 
 def one_row(shield, s):
-    """The single CBF row (G, h) of a one-constraint shield whose bounds have
-    e_s = 0, so the state box is the state alone."""
+    """The single CBF row (G, h) of a one-constraint shield."""
     G, h = shield.constraint_rows(s)
     assert G.shape[0] == 1
     return G[0], float(h[0])
 
 
 class TestBuildConstraint:
-    """One CBF row, as a one-constraint shield builds it when e_s = 0."""
+    """One CBF row, as a one-constraint shield builds it."""
 
     def test_integrator_sphere_analytic(self):
-        # b = 3, grad = (4,0,0), f=0, g=I, gamma=1 -> 4 a1 + 3 >= 0
+        # b = 3, grad = (4,0,0), f=0, g=I, gamma=1, dt=0.1 -> 4 a1 + 3 kappa/dt >= 0
         G, h = one_row(sphere_shield(), np.array([2.0, 0, 0]))
         assert np.allclose(G, [-4.0, 0.0, 0.0], atol=1e-14)
-        assert h == pytest.approx(3.0, abs=1e-14)
+        assert h == pytest.approx(3.0 * rate(1.0), abs=1e-14)
+
+    def test_infinite_gamma_is_one_step_decay(self):
+        # kappa = 1: the row asks only b(s') >= 0, so h = b / dt
+        _, h = one_row(sphere_shield(gamma=np.inf), np.array([2.0, 0, 0]))
+        assert h == pytest.approx(3.0 / 0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+    def test_non_positive_or_nan_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            sphere_shield(gamma=gamma)
+
+    def test_concave_barrier_needs_action_box(self):
+        tsb = TaskSpaceBarrier(np.zeros((2, 3)), radius=0.5)
+        with pytest.raises(ValueError, match="action box"):
+            ShieldConfig(gamma=1.0, constraints=[ConstraintSpec(tsb, "full")])
 
     def test_derivative_error_shrinks_rhs_exactly(self):
         y = np.array([2.0, 0, 0])
@@ -60,40 +80,30 @@ class TestBuildConstraint:
             assert h >= 0.0
 
 
-def corner_reference(center, half_width, budget):
-    """Box points as enumerated corner by corner: center, then corner i with
-    axis j positive iff bit j of the n-bit reversal of i is set."""
-    n = center.shape[0]
-    pts = [center]
-    for i in range(min(1 << n, budget)):
-        mask = int(format(i, f"0{n}b")[::-1], 2)
-        pts.append(center + half_width * np.array([((mask >> j) & 1) * 2.0 - 1.0
-                                                   for j in range(n)]))
-    return np.array(pts)
-
-
-def per_point_rows(shield, s):
-    """(G, h, margins) from one barrier and one model evaluation per box point,
-    the loop the batched rows replaced. Barriers enter through their
-    single-point value_and_grad, which test_barriers checks against the
-    per-point formulas."""
+def reference_rows(shield, s):
+    """(G, h, margins) built constraint by constraint from the single-point
+    barrier and model methods: one row per constraint at its binding's state,
+    with the task-space row's bound on ||s' - s||^2 / dt written out."""
     cfg = shield.config
     n_action = shield.models["full"].n_action
+    a_max = np.linalg.norm(np.maximum(np.abs(cfg.lb), np.abs(cfg.ub)))
     rows, rhs, margins = [], [], []
     for spec in cfg.constraints:
-        model, bnd = shield.models[spec.binding], shield.bounds[spec.binding]
+        model, e_sdot = shield.models[spec.binding], shield.bounds[spec.binding].e_sdot
         if spec.binding == "position":
-            y0, cols = s[list(POSITION_DIMS)], list(POSITION_DIMS)
+            y, cols = s[list(POSITION_DIMS)], list(POSITION_DIMS)
         else:
-            y0, cols = s, list(range(n_action))
-        for y in corner_reference(y0, bnd.e_s, MAX_BOX_CORNERS):
-            b, grad = spec.barrier.value_and_grad(y)
-            f, g = model.drift_and_gain(y)
-            row = np.zeros(n_action)
-            row[cols] = -(grad @ g)
-            rows.append(row)
-            rhs.append(float(grad @ f) - float(np.abs(grad).max() * bnd.e_sdot) + cfg.gamma * b)
-        margins.append(spec.barrier.value(y0))
+            y, cols = s, list(range(n_action))
+        b, grad = spec.barrier.value_and_grad(y)
+        f, g = model.drift_and_gain(y)
+        row = np.zeros(n_action)
+        row[cols] = -(grad @ g)
+        h = float(grad @ f) - float(np.abs(grad).max() * e_sdot) + rate(cfg.gamma, model.dt) * b
+        if isinstance(spec.barrier, TaskSpaceBarrier):
+            h -= model.dt * (np.linalg.norm(f) + np.linalg.norm(g, 2) * a_max + e_sdot) ** 2
+        rows.append(row)
+        rhs.append(h)
+        margins.append(spec.barrier.value(y))
     return np.array(rows), np.array(rhs), np.array(margins)
 
 
@@ -125,9 +135,9 @@ class TestBatchedRowsMatchPerPointReference:
             # aim at the sphere so steps near it intervene
             push = target - s[:3]
             a_des = np.append(0.05 * push / np.linalg.norm(push), rng.uniform(-0.05, 0.05))
-            G_ref, h_ref, m_ref = per_point_rows(shield, s)
+            G_ref, h_ref, m_ref = reference_rows(shield, s)
             G, h = shield.constraint_rows(s)
-            assert G.shape == G_ref.shape == (9 + 9 + 17, 4)
+            assert G.shape == G_ref.shape == (3, 4)
             assert np.max(np.abs(G - G_ref)) <= 1e-12
             assert np.max(np.abs(h - h_ref)) <= 1e-12
             rep = shield.filter(a_des, s)
@@ -142,9 +152,10 @@ class TestBatchedRowsMatchPerPointReference:
 
 class TestRowsSharedPerBinding:
     def test_one_model_call_per_binding_and_rows_bitwise(self, monkeypatch):
-        # two spatial constraints share the position box, one behavioral row
-        # uses the full-state box; the reference builds each constraint's rows
-        # alone, in a one-constraint shield
+        # two spatial constraints share the position model call, one
+        # behavioral row uses the full-state one; the rows match each
+        # constraint's row built alone, in a one-constraint shield, bit for
+        # bit, and the reference built from the single-point methods
         rng = np.random.default_rng(3)
         demo_states = rng.uniform(-0.2, 0.4, size=(60, 4))
         constraints = [
@@ -174,55 +185,116 @@ class TestRowsSharedPerBinding:
             assert calls == {"position": 1, "full": 1}
             G_ref, h_ref, m_ref = zip(*(one.rows_and_margins(s) for one in alone))
             G_ref, h_ref, m_ref = np.vstack(G_ref), np.concatenate(h_ref), np.concatenate(m_ref)
-            assert G.shape == (9 + 17 + 9, 4)
+            assert G.shape == (3, 4)
             assert G.tobytes() == G_ref.tobytes() and h.tobytes() == h_ref.tobytes()
             assert margins.tobytes() == m_ref.tobytes()
+            G_ref, h_ref, m_ref = reference_rows(shield, s)
+            assert np.max(np.abs(G - G_ref)) <= 1e-12 and np.max(np.abs(h - h_ref)) <= 1e-12
+            assert np.max(np.abs(margins - m_ref)) <= 1e-12
 
 
-class TestStateBoxRobustification:
-    @pytest.mark.parametrize("n,cap", [(n, MAX_BOX_CORNERS) for n in (1, 3, 4, 7, 8)])
-    def test_box_vertices_match_corner_enumeration(self, n, cap):
-        center = np.linspace(-1.0, 1.0, n)
-        assert np.array_equal(box_vertices(center, 0.1), corner_reference(center, 0.1, cap))
+def scene_shield(name):
+    """The shield a benchmark scene builds, on integrator models and a few
+    demonstration states."""
+    cfg = config.validate(json.loads((SCENES / f"{name}.json").read_text()))
+    demo = Demonstration(states=np.zeros((3, 4)), actions=np.zeros((2, 4)), dt=0.1)
+    models = {"position": AffineModel.integrator(3), "full": AffineModel.integrator(4)}
+    return config.build_shield(cfg, models, {"position": ZERO, "full": ZERO}, demos=[demo])
 
-    def test_zero_state_error_degenerates_to_center_row(self):
+
+class TestOneRowPerConstraint:
+    @pytest.mark.parametrize("scene,rows", [("reach_knn", 2), ("clutter_clf", 4)])
+    def test_benchmark_scene_row_count(self, scene, rows):
+        shield = scene_shield(scene)
+        G, h = shield.constraint_rows(np.array([0.05, 0.05, 0.05, 0.0]))
+        assert len(shield.config.constraints) == rows
+        assert G.shape == (rows, 4) and h.shape == (rows,)
+
+    def test_state_error_adds_no_rows(self):
+        # e_s bounds the integration error, which no row reads
         s = np.array([2.0, 0, 0])
         G, h = sphere_shield().constraint_rows(s)
-        assert G.shape == (1, 3)
         rows, rhs = sphere_shield(bounds=UncertaintyBounds(e_sdot=0.0, e_s=0.01)).constraint_rows(s)
-        assert np.array_equal(rows[0], G[0]) and rhs[0] == h[0]
+        assert G.shape == rows.shape == (1, 3)
+        assert np.array_equal(rows, G) and np.array_equal(rhs, h)
 
-    def test_vertex_count_and_center_first(self):
-        bounds = UncertaintyBounds(e_sdot=0.0, e_s=0.01)
-        rows, rhs = sphere_shield(bounds=bounds).constraint_rows(np.array([2.0, 0, 0]))
-        assert rows.shape == (9, 3)  # 2^3 vertices + center
 
-    def test_monotone_barrier_binding_vertex(self):
-        # 1-D linear barrier b(y) = y with an integrator: rows at y = s +- e_s;
-        # the binding (smallest rhs) row is the low vertex
-        class Line:
-            def value_and_grad_batch(self, Y):
-                return Y[:, 0].copy(), np.ones_like(Y)
+# drifting, coupled models at the benchmark scale: the condition must hold
+# for any (f, g), not only for the integrator
+POS_MODEL = AffineModel(A=[[-0.2, 0.1, 0.0], [0.05, -0.1, 0.2], [0.0, -0.15, 0.1]],
+                        B=[[1.0, 0.2, 0.0], [-0.1, 0.9, 0.1], [0.05, 0.0, 1.1]],
+                        c=[0.01, -0.02, 0.005])
+FULL_MODEL = AffineModel(A=0.1 * np.array([[-1.0, 0.5, 0, 0.2], [0, -0.5, 1.0, 0],
+                                           [0.3, 0, -1.0, 0], [0, 0.2, 0, -0.5]]),
+                         B=np.eye(4) + 0.1 * np.array([[0, 1.0, 0, 0], [0, 0, 1.0, 0],
+                                                       [-1.0, 0, 0, 0.5], [0, 0, 0.5, 0]]),
+                         c=[0.005, 0.01, -0.01, 0.0])
+SPHERE = SphereZone([0.0, 0.0, 0.0], 0.045)
+CYLINDER = CylinderZone([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], radius=0.02, length=0.08)
+TASK_SPACE = TaskSpaceBarrier(np.random.default_rng(0).uniform(-0.1, 0.1, (30, 4)), radius=0.05)
+E_SDOT = 0.02
+unit = st.floats(-1.0, 1.0)
 
-        cfg = ShieldConfig(gamma=2.0, constraints=[ConstraintSpec(Line(), "full")])
-        shield = SafetyShield(cfg, models={"full": AffineModel.integrator(1)},
-                              bounds={"full": UncertaintyBounds(e_sdot=0.0, e_s=0.25)})
-        rows, rhs = shield.constraint_rows(np.array([1.0]))
-        assert rows.shape == (3, 1)
-        assert rhs.min() == pytest.approx(2.0 * (1.0 - 0.25), abs=1e-12)
-        assert rhs.max() == pytest.approx(2.0 * (1.0 + 0.25), abs=1e-12)
 
-    def test_budget_subsample_deterministic_prefix(self):
-        # 2^n > MAX_BOX_CORNERS: the kept corners are the first ones of the
-        # whole bit-reversed enumeration
-        for n in (7, 8):
-            center = np.zeros(n)
-            v = box_vertices(center, 0.1)
-            assert v.shape == (MAX_BOX_CORNERS + 1, n)
-            assert np.array_equal(v, corner_reference(center, 0.1, 1 << n)[: MAX_BOX_CORNERS + 1])
-            # deterministic across calls and all corners distinct
-            assert np.array_equal(v, box_vertices(center, 0.1))
-            assert len(np.unique(v, axis=0)) == MAX_BOX_CORNERS + 1
+def direction(v):
+    v = np.asarray(v, dtype=np.float64)
+    n = np.linalg.norm(v)
+    return v / n if n > 0.1 else np.eye(len(v))[0]
+
+
+class TestDiscreteTimeSoundness:
+    """Every filtered step keeps b(s') >= (1 - kappa) b(s), for each zone kind
+    and the task-space barrier, whatever the model error e with
+    ||e||_1 <= e_sdot, the worst-case e included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(["sphere", "cylinder_side", "cylinder_rim", "task_space"]),
+           u=st.lists(unit, min_size=4, max_size=4), gap=st.floats(-0.003, 0.01),
+           gap2=st.floats(0.0, 0.01), pick=st.integers(0, 29), push=st.floats(0.0, 3.0),
+           noise=st.lists(unit, min_size=4, max_size=4),
+           e_dir=st.lists(unit, min_size=4, max_size=4), e_scale=st.floats(0.0, 1.0),
+           gamma=st.sampled_from([1.0, 10.0, 25.0, 40.0, np.inf]))
+    def test_one_step_condition_holds(self, kind, u, gap, gap2, pick, push, noise, e_dir,
+                                      e_scale, gamma):
+        u = np.array(u)
+        if kind == "sphere":
+            barrier, binding, y = SPHERE, "position", (0.045 + gap) * direction(u[:3])
+        elif kind == "task_space":
+            barrier, binding = TASK_SPACE, "full"
+            y = TASK_SPACE.states[pick] + (0.05 + gap) * direction(u)
+        else:
+            barrier, binding = CYLINDER, "position"
+            radial = np.append(direction(u[:2]), 0.0)
+            if kind == "cylinder_side":
+                y = (0.02 + abs(gap)) * radial + np.array([0.0, 0.0, 0.036 * u[2]])
+            else:
+                y = (0.02 + gap) * radial + np.array([0.0, 0.0, np.copysign(0.04 + gap2, u[2])])
+        models = {"position": POS_MODEL, "full": FULL_MODEL}
+        bounds = UncertaintyBounds(e_sdot=E_SDOT, e_s=0.0)
+        cfg = ShieldConfig(gamma=gamma, constraints=[ConstraintSpec(barrier, binding)],
+                           lb=-0.05 * np.ones(4), ub=0.05 * np.ones(4))
+        shield = SafetyShield(cfg, models=models, bounds={"position": bounds, "full": bounds})
+        s = y if binding == "full" else np.append(y, 0.0)
+        # aim down the barrier's gradient so that the row binds often
+        b, grad = barrier.value_and_grad(y)
+        a_des = 0.05 * (push * np.pad(-direction(grad), (0, 4 - len(y))) + np.array(noise))
+        rep = shield.filter(a_des, s)
+        if rep.infeasible:
+            return
+        model = models[binding]
+        f, g = model.drift_and_gain(y)
+        a = rep.a_safe[: len(y)]
+        j = int(np.argmax(np.abs(grad)))
+        worst = np.zeros(len(y))
+        worst[j] = -E_SDOT * np.sign(grad[j])
+        e_dir = np.array(e_dir[: len(y)])
+        drawn = E_SDOT * e_scale * e_dir / max(np.abs(e_dir).sum(), 1.0)
+        kappa = 1.0 - np.exp(-gamma * model.dt)
+        for e in (worst, drawn):
+            assert np.abs(e).sum() <= E_SDOT
+            b_next = barrier.value(y + model.dt * (f + g @ a + e))
+            # b is of order 1e-3 here: 1e-15 is float rounding, not slack
+            assert b_next >= (1.0 - kappa) * b - 1e-15, (kind, b, b_next, e)
 
 
 class TestFilter:
@@ -235,10 +307,11 @@ class TestFilter:
         assert rep.slack_used == 0.0
 
     def test_single_constraint_projection(self):
-        # constraint 4 a1 + 3 >= 0; a_des = (-1,0,0) projects to (-0.75,0,0)
+        # constraint 4 a1 + 3 kappa/dt >= 0; a_des = (-1,0,0) projects onto
+        # a1 = -0.75 kappa/dt
         shield = sphere_shield()
         rep = shield.filter(np.array([-1.0, 0, 0]), np.array([2.0, 0, 0]))
-        assert np.allclose(rep.a_safe, [-0.75, 0.0, 0.0], atol=1e-9)
+        assert np.allclose(rep.a_safe, [-0.75 * rate(1.0), 0.0, 0.0], atol=1e-9)
         assert rep.intervened
 
     def test_worst_margin_is_min_barrier_value(self):
