@@ -63,8 +63,15 @@ def gelu_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    return 0.5 * x * (1.0 + np.tanh(GELU_C * x * (1.0 + GELU_A * x2)))
+    """0.5*x*(1 + tanh(c*x*(1 + a*x^2))), in place on the same operands: bitwise."""
+    t = x * x
+    t *= GELU_A
+    t += 1.0
+    t *= GELU_C * x
+    t = np.tanh(t)
+    t += 1.0
+    t *= 0.5 * x
+    return t
 
 
 @dataclass

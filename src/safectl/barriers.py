@@ -32,10 +32,13 @@ AXIS_EPS = 1e-9
 def cross3(a, b):
     """np.cross for operands of shape (..., 3), as the same per-component
     products and differences, so the result is bitwise equal; without
-    np.cross's axis handling it costs about a third as much on small batches."""
+    np.cross's axis handling or a stack it costs a fraction as much on small batches."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    c = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    out = np.empty(c[0].shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = c
+    return out
 
 
 def rowdot(X, Y):
@@ -149,11 +152,11 @@ class CylinderZone:
         v = self.axis
         rel = np.asarray(X, dtype=np.float64) - self.point
         w = cross3(rel, v)
-        on_axis = np.linalg.norm(w, axis=1) < AXIS_EPS
-        if on_axis.any():
+        wn = np.linalg.norm(w, axis=1)
+        if (on_axis := wn < AXIS_EPS).any():
             rel = self._off_axis(rel, on_axis)
             w = cross3(rel, v)
-        wn = np.linalg.norm(w, axis=1)
+            wn = np.linalg.norm(w, axis=1)
         b_rad = wn - self.radius
         grad_rad = cross3(v, w) / wn[:, None]
         ax = rel @ v

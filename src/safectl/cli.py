@@ -224,9 +224,10 @@ def _write_episode_csv(path: Path, log, n_state: int, n_action: int):
     margins = log.margins[1:] if log.filter_margins is None else log.filter_margins
     cols = ["t"] + [f"s{i}" for i in range(n_state)] + [f"a_des{i}" for i in range(n_action)]
     cols += [f"a_safe{i}" for i in range(n_action)]
-    cols += [f"margin{i}" for i in range(margins.shape[1])] + ["slack", "solve_time_us"]
+    cols += [f"margin{i}" for i in range(margins.shape[1])]
+    cols += ["slack", "build_time_us", "solve_time_us"]
     table = np.hstack([log.states[1:], log.a_des, log.a_safe, margins, log.slack[:, None],
-                       log.solve_time_us[:, None]])
+                       log.build_time_us[:, None], log.solve_time_us[:, None]])
     # repr of tolist()'s Python floats is repr(float(v)) of each entry, -0.0 included
     lines = [",".join(cols)]
     lines += [f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(table.tolist())]

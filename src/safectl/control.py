@@ -149,10 +149,10 @@ def select_waypoint(path: ReferencePath, s, current_index: int, threshold: float
     """
     w = path.waypoints
     last = len(w) - 1
-    current_index = int(np.clip(current_index, 0, last))
+    current_index = min(max(int(current_index), 0), last)
     d = np.linalg.norm(w[current_index:] - np.asarray(s, dtype=np.float64), axis=1)
-    i = current_index + int(np.argmin(d))
-    while i < last and np.linalg.norm(s - w[i]) ** 2 < threshold:
+    i = current_index + int(d.argmin())
+    while i < last and d[i - current_index] ** 2 < threshold:
         i += 1
     return w[i], i
 
@@ -225,6 +225,7 @@ class KnnExpertPolicy:
         if n_neighbors < 1 or n_neighbors > self.states.shape[0]:
             raise ValueError("n_neighbors must be in [1, dataset size]")
         self.n_neighbors = int(n_neighbors)
+        self._ranks = list(range(1, self.n_neighbors + 1))
         self._tree = cKDTree(self.states)
 
     @classmethod
@@ -234,12 +235,10 @@ class KnnExpertPolicy:
         return cls(states, actions, n_neighbors)
 
     def weights_and_neighbors(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        dist, idx = self._tree.query(s, k=self.n_neighbors)
-        dist = np.atleast_1d(dist)
-        idx = np.atleast_1d(idx)
-        w = np.exp(-dist)
-        w = w / w.sum()
+        # k as the list of ranks 1..n returns arrays for one point, even for n = 1
+        dist, idx = self._tree.query(np.asarray(s, dtype=np.float64), k=self._ranks)
+        w = np.exp(np.negative(dist, out=dist), out=dist)
+        w /= w.sum()
         return w, idx
 
     def action(self, s) -> np.ndarray:

@@ -44,7 +44,8 @@ class QpProblem:
         m = self.q.shape[0]
         self.lb = np.full(m, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=np.float64)
         self.ub = np.full(m, np.inf) if self.ub is None else np.asarray(self.ub, dtype=np.float64)
-        if self.P.shape != (m, m) or not np.array_equal(self.P, np.eye(m)):
+        if self.P.shape != (m, m) or np.count_nonzero(self.P) != m \
+                or np.count_nonzero(self.P.diagonal() == 1.0) != m:  # a NaN is nonzero, not 1
             raise ValueError(f"P must be the {m}x{m} identity")
         if self.G is None:
             self.G, self.h = np.zeros((0, m)), np.zeros(0)

@@ -17,10 +17,11 @@ sphere, the cylinder pieces and their log-sum-exp all are), an exact state,
 the action held for the whole step (zero-order hold), and an e_sdot that
 covers the applied action.
 
-Each binding (position substate or full state) sends its state through one
-`drift_and_gain_batch` call, shared by every constraint on it; each
-constraint makes one barrier `value_and_grad_batch` call, whose values are the
-margins the filter reports.
+A step costs one `drift_and_gain_batch` call per binding (position substate
+or full state), one barrier `value_and_grad_batch` call per constraint (its
+values are the reported margins) and arithmetic on 1-D views of them. What
+depends only on the frozen config and the models (kappa / dt, ||a_max||, P,
+the columns, the constraints grouped by binding) is fixed at construction.
 
 The filter stacks spatial rows (position-substate model, acting on the
 linear-velocity action block) and the behavioral row (full-state model),
@@ -33,16 +34,20 @@ is reported as an infeasible fallback step.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qp
 from .dynamics import POSITION_DIMS
 
+# the state and action columns of each binding
+COLUMNS = {"position": slice(POSITION_DIMS[0], POSITION_DIMS[-1] + 1), "full": slice(None)}
 
-@dataclass
+
+@dataclass(frozen=True)
 class ConstraintSpec:
     """A barrier bound to either the position-substate or the full-state model."""
 
@@ -50,17 +55,18 @@ class ConstraintSpec:
     binding: str = "position"  # position | full
 
     def __post_init__(self):
-        if self.binding not in ("position", "full"):
+        if self.binding not in COLUMNS:
             raise ValueError(f"unknown binding {self.binding!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShieldConfig:
     """gamma (1/s) is the per-step decay kappa = 1 - exp(-gamma * dt) of the
-    barriers, so gamma = inf is kappa = 1, the largest valid choice."""
+    barriers, so gamma = inf is kappa = 1, the largest valid choice. Frozen,
+    with a constraint tuple and read-only copies of lb, ub: the checks hold."""
 
     gamma: float = 10.0
-    constraints: list = field(default_factory=list)
+    constraints: tuple = ()
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
 
@@ -72,6 +78,11 @@ class ShieldConfig:
         if (self.lb is None or self.ub is None) and any(c.barrier.concavity
                                                         for c in self.constraints):
             raise ValueError("a concave barrier needs the action box lb, ub")
+        object.__setattr__(self, "constraints", tuple(self.constraints))
+        for name in ("lb", "ub"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
+                getattr(self, name).flags.writeable = False
 
 
 @dataclass
@@ -81,26 +92,10 @@ class FilterReport:
     margins: np.ndarray  # per-constraint b at the current state
     worst_margin: float
     slack_used: float
-    solve_time: float
+    build_time: float  # s spent building the rows
+    solve_time: float  # s spent in the QP
     infeasible: bool = False
     fallback: bool = False  # the relaxation failed too; a_safe is the hold action
-
-
-def _rows_at(barrier, y, f, g, e_sdot: float, dt: float, cfg: ShieldConfig):
-    """The CBF row at the state y (1, n), given the model's drift f (1, n) and
-    gain g (1, n, n_action) there: G = -L_g b (n_action,), the scalar h, and
-    the barrier value b."""
-    b, grad = barrier.value_and_grad_batch(y)
-    lf = np.einsum("bi,bi->b", grad, f)
-    lg = np.einsum("bi,bij->bj", grad, g)
-    kappa = -np.expm1(-cfg.gamma * dt)  # 1 - exp(-gamma dt), accurate for small gamma dt
-    h = lf - np.abs(grad).max(axis=1) * e_sdot + kappa / dt * b
-    if barrier.concavity:
-        # ||s' - s||_2 <= dt * reach for every action in the box
-        a_max = np.linalg.norm(np.fmax(np.abs(cfg.lb), np.abs(cfg.ub)))
-        reach = np.linalg.norm(f, axis=1) + np.linalg.norm(g, 2, axis=(1, 2)) * a_max + e_sdot
-        h = h - barrier.concavity * dt * reach**2
-    return -lg[0], h[0], b[0]
 
 
 class SafetyShield:
@@ -115,14 +110,19 @@ class SafetyShield:
         self.config = config
         self.models = models
         self.bounds = bounds
-        for spec in config.constraints:
+        groups = {}
+        for i, spec in enumerate(config.constraints):
             if spec.binding not in models or spec.binding not in bounds:
                 raise ValueError(f"no model/bounds for binding {spec.binding!r}")
-
-    def _state_for(self, spec: ConstraintSpec, s: np.ndarray) -> np.ndarray:
-        if spec.binding == "position":
-            return s[list(POSITION_DIMS)]
-        return s
+            groups.setdefault(spec.binding, []).append((i, spec.barrier))
+        # P of every QP, and ||a_max|| for concave rows (the config admits them only with a box)
+        self._eye = np.eye(models["full"].n_action if "full" in models else len(POSITION_DIMS))
+        self._a_max = None if config.lb is None or config.ub is None else \
+            np.linalg.norm(np.fmax(np.abs(config.lb), np.abs(config.ub)))
+        # (binding, columns, kappa / dt, dt, [(row, barrier)]), kappa = 1 -
+        # exp(-gamma dt) through expm1, accurate for small gamma dt
+        self._groups = [(b, COLUMNS[b], -np.expm1(-config.gamma * models[b].dt) / models[b].dt,
+                         models[b].dt, items) for b, items in groups.items()]
 
     def constraint_rows(self, s):
         """Stacked (G, h) rows, one per constraint, in the full action
@@ -135,27 +135,33 @@ class SafetyShield:
         """constraint_rows plus the per-constraint barrier value at s, read
         from the row building instead of evaluating again. The model is
         evaluated once per binding and shared by every constraint on it."""
-        cfg = self.config
         s = np.asarray(s, dtype=np.float64)
-        n_action = self.models["full"].n_action if "full" in self.models else len(POSITION_DIMS)
-        k = len(cfg.constraints)
-        G, h, margins = np.zeros((k, n_action)), np.empty(k), np.empty(k)
-        at_state = {}  # binding -> (state, f, g)
-        for i, spec in enumerate(cfg.constraints):
-            model, bnd = self.models[spec.binding], self.bounds[spec.binding]
-            if spec.binding not in at_state:
-                y = self._state_for(spec, s)[None, :]
-                at_state[spec.binding] = (y, *model.drift_and_gain_batch(y))
-            cols = list(POSITION_DIMS) if spec.binding == "position" else slice(None)
-            G[i, cols], h[i], margins[i] = _rows_at(spec.barrier, *at_state[spec.binding],
-                                                    bnd.e_sdot, model.dt, cfg)
+        k = len(self.config.constraints)
+        G, h, margins = np.zeros((k, self._eye.shape[0])), np.empty(k), np.empty(k)
+        for binding, cols, rate, dt, items in self._groups:
+            y = s[None, cols]
+            f, g = self.models[binding].drift_and_gain_batch(y)
+            f, g = f[0], g[0]
+            e_sdot = self.bounds[binding].e_sdot
+            for i, barrier in items:
+                b, grad = barrier.value_and_grad_batch(y)
+                b, grad = b[0], grad[0]
+                h[i] = grad @ f - np.abs(grad).max() * e_sdot + rate * b
+                if barrier.concavity:
+                    # ||s' - s||_2 <= dt * reach for every action in the box;
+                    # svd's largest value is norm(g, 2) without its wrapper
+                    reach = math.sqrt(f @ f) \
+                        + np.linalg.svd(g, compute_uv=False)[0] * self._a_max + e_sdot
+                    h[i] -= barrier.concavity * dt * reach**2
+                G[i, cols] = -(grad @ g)
+                margins[i] = b
         return G, h, margins
 
     def margins(self, s) -> np.ndarray:
         """Per-constraint barrier value at the current state."""
         s = np.asarray(s, dtype=np.float64)
         return np.array(
-            [spec.barrier.value(self._state_for(spec, s)) for spec in self.config.constraints]
+            [spec.barrier.value(s[COLUMNS[spec.binding]]) for spec in self.config.constraints]
         )
 
     def filter(self, a_des, s) -> FilterReport:
@@ -171,33 +177,28 @@ class SafetyShield:
         t0 = time.perf_counter()
         a_des = np.asarray(a_des, dtype=np.float64)
         s = np.asarray(s, dtype=np.float64)
-        if not np.all(np.isfinite(s)) or not np.all(np.isfinite(a_des)):
+        if not (np.isfinite(s).all() and np.isfinite(a_des).all()):
             raise ValueError("non-finite state or action entering the filter")
         G, h, margins = self.rows_and_margins(s)
-        problem = qp.QpProblem(
-            P=np.eye(a_des.shape[0]),
-            q=-a_des,
-            G=G,
-            h=h,
-            lb=self.config.lb,
-            ub=self.config.ub,
-        )
-        sol = qp.solve_with_slack(problem)
+        lb, ub = self.config.lb, self.config.ub
+        t1 = time.perf_counter()
+        sol = qp.solve_with_slack(qp.QpProblem(P=self._eye, q=-a_des, G=G, h=h, lb=lb, ub=ub))
+        t2 = time.perf_counter()
         fallback = sol.status != "optimal"
         a_safe = sol.a
         if fallback:
             # fmax/fmin skip a NaN bound, so the hold action stays finite
-            lb, ub = self.config.lb, self.config.ub
             a_safe = np.fmin(np.fmax(np.zeros_like(a_des), -np.inf if lb is None else lb),
                              np.inf if ub is None else ub)
+        step = a_safe - a_des
         return FilterReport(
             a_safe=a_safe,
-            intervened=bool(np.linalg.norm(a_safe - a_des) > 1e-9),
+            intervened=math.sqrt(step @ step) > 1e-9,  # ||step||, as norm takes it
             margins=margins,
             worst_margin=float(margins.min()),
             slack_used=sol.slack_used,
-            solve_time=time.perf_counter() - t0,
+            build_time=t1 - t0,
+            solve_time=t2 - t1,
             infeasible=fallback or sol.slack_used > 1e-6,
             fallback=fallback,
         )
-

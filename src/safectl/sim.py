@@ -190,7 +190,8 @@ class TrajectoryLog:
     a_safe: np.ndarray       # (H, m)
     margins: np.ndarray      # (H+1, k) hard zone margins on true states
     slack: np.ndarray        # (H,)
-    solve_time_us: np.ndarray  # (H,)
+    build_time_us: np.ndarray  # (H,) row building; 0 when unshielded
+    solve_time_us: np.ndarray  # (H,) the QP; the policy's act when unshielded
     filter_margins: np.ndarray | None = None  # (H, k2) per-constraint b when shielded
 
 
@@ -231,7 +232,7 @@ def run_episodes(policies, env_cfg: EnvConfig, seeds, shield=None,
     states = np.empty((h + 1, e, n))
     a_des_log, a_safe_log = np.zeros((2, h, e, m))
     margins = np.empty((h + 1, e, len(zones)))
-    slack, solve_us, spent_s = np.zeros((3, h, e))
+    slack, build_us, solve_us, spent_s = np.zeros((4, h, e))
     filter_margins = None if shield is None else np.zeros((h, e, len(shield.config.constraints)))
     states[0] = env.state
     margins[0] = zone_margins(zones, env.state[:, :3])
@@ -265,6 +266,7 @@ def run_episodes(policies, env_cfg: EnvConfig, seeds, shield=None,
                 spent[i] += clock() - t0
                 a[i] = report.a_safe
                 slack[t, i] = report.slack_used
+                build_us[t, i] = report.build_time * 1e6
                 solve_us[t, i] = report.solve_time * 1e6
                 filter_margins[t, i] = report.margins
                 fallback_events[i] += report.fallback
@@ -296,7 +298,8 @@ def run_episodes(policies, env_cfg: EnvConfig, seeds, shield=None,
         log = TrajectoryLog(
             states=states[: r + 1, i].copy(), a_des=a_des_log[:r, i].copy(),
             a_safe=a_safe_log[:r, i].copy(), margins=margins[: r + 1, i].copy(),
-            slack=slack[:r, i].copy(), solve_time_us=solve_us[:r, i].copy(),
+            slack=slack[:r, i].copy(), build_time_us=build_us[:r, i].copy(),
+            solve_time_us=solve_us[:r, i].copy(),
             filter_margins=None if filter_margins is None else filter_margins[:r, i].copy(),
         )
         episodes.append((result, log))

@@ -133,7 +133,7 @@ class TestRun:
         assert len(list(ep.glob("ep*_*.csv"))) == 6
         header = next(ep.glob("ep0_*.csv")).read_text().splitlines()[0]
         assert header.startswith("t,s0,s1,s2,s3,a_des0")
-        assert header.endswith("slack,solve_time_us")
+        assert header.endswith("slack,build_time_us,solve_time_us")
 
     def test_run_shield_off_flag(self, workdir, tmp_path):
         root, cfg_path, out = workdir
@@ -426,8 +426,9 @@ def old_sweep(cfg, out, param, values):
     return header + "\n" + "\n".join(f"{v!r},{m!r}" for v, m in rows) + "\n"
 
 
-def without_timing_column(text):
-    return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+def without_timing_columns(text):
+    """The CSV lines without their last two columns, build_time_us and solve_time_us."""
+    return [line.rsplit(",", 2)[0] for line in text.splitlines()]
 
 
 @pytest.fixture
@@ -471,8 +472,8 @@ class TestEpisodeLoop:
         names = sorted(p.name for p in ref_dir.iterdir())
         assert sorted(p.name for p in (out / "episodes").iterdir()) == names
         for name in names:
-            assert (without_timing_column((out / "episodes" / name).read_text())
-                    == without_timing_column((ref_dir / name).read_text())), name
+            assert (without_timing_columns((out / "episodes" / name).read_text())
+                    == without_timing_columns((ref_dir / name).read_text())), name
 
     def test_knn_on_a_path_follow_task_is_scored_at_the_path_end(self, staged):
         # a straight path ends at the reach goal, so the same kNN episodes
@@ -540,7 +541,7 @@ def old_write_episode_csv(path, log, n_state, n_action):
     cols += [f"a_safe{i}" for i in range(n_action)]
     k = log.filter_margins.shape[1] if log.filter_margins is not None else log.margins.shape[1]
     cols += [f"margin{i}" for i in range(k)]
-    cols += ["slack", "solve_time_us"]
+    cols += ["slack", "build_time_us", "solve_time_us"]
     lines = [",".join(cols)]
     for t in range(log.a_des.shape[0]):
         m = log.filter_margins[t] if log.filter_margins is not None else log.margins[t + 1]
@@ -549,7 +550,8 @@ def old_write_episode_csv(path, log, n_state, n_action):
         row += [repr(float(v)) for v in log.a_des[t]]
         row += [repr(float(v)) for v in log.a_safe[t]]
         row += [repr(float(v)) for v in m]
-        row += [repr(float(log.slack[t])), repr(float(log.solve_time_us[t]))]
+        row += [repr(float(log.slack[t])), repr(float(log.build_time_us[t])),
+                repr(float(log.solve_time_us[t]))]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -570,7 +572,7 @@ class TestEpisodeCsv:
         log.a_des[0, :2] = [1e300, -1e-300]
         log.a_safe[2, 0] = -0.0
         log.margins[4] = -0.0
-        log.slack[1], log.solve_time_us[0] = -0.0, 123.456
+        log.slack[1], log.build_time_us[2], log.solve_time_us[0] = -0.0, 7.5e-3, 123.456
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         cli._write_episode_csv(new, log, env_cfg.n_state, env_cfg.n_action)
         old_write_episode_csv(old, log, env_cfg.n_state, env_cfg.n_action)

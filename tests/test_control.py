@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -79,6 +79,19 @@ class TestReferencePath:
         assert len(p) == 2
 
 
+def select_waypoint_reference(path, s, current_index, threshold):
+    """select_waypoint as it was: every advance takes the norm of s - w[i]
+    afresh, and np.clip clamps the cursor."""
+    w = path.waypoints
+    last = len(w) - 1
+    current_index = int(np.clip(current_index, 0, last))
+    d = np.linalg.norm(w[current_index:] - np.asarray(s, dtype=np.float64), axis=1)
+    i = current_index + int(np.argmin(d))
+    while i < last and np.linalg.norm(s - w[i]) ** 2 < threshold:
+        i += 1
+    return w[i], i
+
+
 class TestSelectWaypoint:
     def setup_method(self):
         self.path = ReferencePath(np.array([[float(i), 0.0] for i in range(6)]))
@@ -118,6 +131,20 @@ class TestSelectWaypoint:
             tracker.select(s)
             assert tracker.index >= prev
             prev = tracker.index
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 12), st.integers(0, 11),
+           st.integers(-4, 0), st.integers(-2, 14), st.floats(0.0, 1.0))
+    def test_matches_the_reference_loop(self, seed, n, m, near, scale, current_index, threshold):
+        # a random path, and a state near one of its waypoints, so that the
+        # advance past waypoints within the threshold runs
+        rng = np.random.default_rng(seed)
+        path = ReferencePath(rng.uniform(-1.0, 1.0, (m, n)))
+        s = path.waypoints[near % m] + rng.normal(0.0, 10.0**scale, n)
+        s_des, idx = select_waypoint(path, s, current_index, threshold)
+        s_ref, idx_ref = select_waypoint_reference(path, s, current_index, threshold)
+        assert idx == idx_ref and s_des.tobytes() == s_ref.tobytes()
 
 
 class TestClfAction:
@@ -305,6 +332,24 @@ class TestKnnExpert:
             assert np.all(a >= neigh.min(axis=0) - 1e-12)
             assert np.all(a <= neigh.max(axis=0) + 1e-12)
             assert np.allclose(a, w @ neigh, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(6, 60), st.integers(-3, 1),
+           st.sampled_from([1, 5]))
+    def test_matches_brute_force_softmax_over_the_nearest(self, seed, n, scale, k):
+        # the k nearest by a full sort of every distance; a tie at the k-th
+        # place lets the kd-tree pick either state, so it is drawn again
+        rng = np.random.default_rng(seed)
+        states = rng.uniform(-1.0, 1.0, (n, 4)) * 10.0**scale
+        actions = rng.uniform(-1.0, 1.0, (n, 4))
+        s = rng.uniform(-1.2, 1.2, 4) * 10.0**scale
+        d = np.linalg.norm(states - s, axis=1)
+        order = np.argsort(d, kind="stable")
+        assume(d[order[k]] - d[order[k - 1]] > 1e-9 * 10.0**scale)
+        w = np.exp(-d[order[:k]])
+        want = (w / w.sum()) @ actions[order[:k]]
+        got = KnnExpertPolicy(states, actions, n_neighbors=k).action(s)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_weights_are_probability_vector(self):
         rng = np.random.default_rng(1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -219,6 +220,65 @@ class TestOneRowPerConstraint:
         assert np.array_equal(rows, G) and np.array_equal(rhs, h)
 
 
+class TestFrozenConfig:
+    def test_assignment_raises_and_bounds_are_read_only_copies(self):
+        lb, ub = -np.ones(3), np.ones(3)
+        cfg = ShieldConfig(gamma=1.0,
+                           constraints=[ConstraintSpec(SphereZone([0.0, 0, 0], 1.0), "position")],
+                           lb=lb, ub=ub)
+        for name, value in (("gamma", -1.0), ("ub", None), ("constraints", [])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.constraints[0].binding = "full"
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.ub[0] = np.nan
+        lb[0] = 5.0  # the caller's array is not the config's
+        assert cfg.lb[0] == -1.0 and cfg.gamma == 1.0
+        assert isinstance(cfg.constraints, tuple)
+
+
+class TestFilterIsPure:
+    def test_reports_do_not_depend_on_call_order_or_shield(self):
+        # a run of states toward a sphere and a cylinder, some of them inside:
+        # the steps intervene, and some need slack; every report must be the
+        # same whichever order the states come in and whichever of two
+        # shields built from one config filters them
+        rng = np.random.default_rng(5)
+        constraints = [
+            ConstraintSpec(SphereZone([0.15, 0.1, 0.05], 0.05), "position"),
+            ConstraintSpec(CylinderZone([0.1, 0.2, 0.0], [0.2, 0.1, 1.0], 0.03, 0.1), "position"),
+            ConstraintSpec(TaskSpaceBarrier(rng.uniform(-0.2, 0.4, size=(60, 4)), radius=0.3),
+                           "full"),
+        ]
+        cfg = ShieldConfig(gamma=8.0, constraints=constraints,
+                           lb=-0.05 * np.ones(4), ub=0.05 * np.ones(4))
+        models = {"position": NeuralOdeModel.create(3, 3, hidden=16, seed=1),
+                  "full": NeuralOdeModel.create(4, 4, hidden=16, seed=2)}
+        bounds = {"position": UncertaintyBounds(e_sdot=0.02, e_s=0.0),
+                  "full": UncertaintyBounds(e_sdot=0.03, e_s=0.0)}
+        start, target = np.array([0.0, 0.0, 0.05, 0.0]), np.array([0.15, 0.1, 0.05, 0.0])
+        states = [start + t * (target - start) + rng.normal(0.0, 0.01, 4)
+                  for t in np.linspace(0.0, 1.2, 40)]
+        a_des = [0.05 * (target - x) / np.linalg.norm(target - x) for x in states]
+        one, two = SafetyShield(cfg, models, bounds), SafetyShield(cfg, models, bounds)
+
+        def digest(rep):
+            return (rep.a_safe.tobytes(), rep.margins.tobytes(), repr(rep.slack_used),
+                    repr(rep.worst_margin), rep.intervened, rep.infeasible, rep.fallback)
+
+        def run(shield, order):
+            reports = {i: digest(shield.filter(a_des[i], states[i])) for i in order}
+            return [reports[i] for i in range(len(states))]
+
+        forward = run(one, range(len(states)))
+        assert run(two, reversed(range(len(states)))) == forward  # a fresh shield, backward
+        assert run(one, reversed(range(len(states)))) == forward
+        assert run(two, rng.permutation(len(states))) == forward
+        assert sum(d[4] for d in forward) >= 10
+        assert any(d[5] for d in forward), "no step needed slack"
+
+
 # drifting, coupled models at the benchmark scale: the condition must hold
 # for any (f, g), not only for the integrator
 POS_MODEL = AffineModel(A=[[-0.2, 0.1, 0.0], [0.05, -0.1, 0.2], [0.0, -0.15, 0.1]],
@@ -407,8 +467,11 @@ class TestFilter:
         # a NaN actuator bound reaches the QP as a NaN row, so the filter
         # takes its fallback step instead of reporting an action past the box;
         # the hold action ignores the NaN bound side and stays finite
-        shield = sphere_shield()
-        shield.config.ub = np.array([np.nan, 1.0, 1.0])
+        cfg = ShieldConfig(gamma=1.0,
+                           constraints=[ConstraintSpec(SphereZone([0.0, 0, 0], 1.0), "position")],
+                           lb=-np.ones(3), ub=np.array([np.nan, 1.0, 1.0]))
+        shield = SafetyShield(cfg, models={"position": AffineModel.integrator(3)},
+                              bounds={"position": ZERO})
         rep = shield.filter(np.array([2.0, 0.0, 0.0]), np.array([3.0, 0, 0]))
         assert rep.fallback and rep.infeasible
         assert np.isnan(rep.slack_used)
