@@ -2,32 +2,26 @@
 
 Three families:
 - SphereZone: squared distance to the center minus squared radius.
-- CylinderZone: safe outside the side surface OR beyond the caps; the two
-  component barriers are blended with a shifted log-sum-exp so the smooth
-  value never exceeds the true max (errors fall on the conservative side).
+- CylinderZone: safe outside the side surface OR beyond the caps; b is the
+  max of the radial and the vertical piece.
 - TaskSpaceBarrier: positive within distance `radius` of the nearest
   demonstration state, so the learned dynamics are only trusted in-distribution.
 
 Each barrier evaluates a batch of points at once through
 `value_and_grad_batch(X)`, X of shape (B, n), returning b (B,) and the
 gradients (B, n); the single-point `value_and_grad` and `value` are its B = 1
-case, as the zones' `hard_value` is the B = 1 case of `hard_value_batch`.
-Each barrier declares `concavity`, the c in b(x + d) >= b(x) + grad . d -
-c ||d||^2, which the shield's discrete-time rows read. Evaluation is pure; all
-barrier objects are immutable after construction and safe to share across
-workers. Hard (non-smoothed) values are exposed separately so smoothing slack
-can never hide a violation check.
+case. A barrier that is the max of pieces returns its active piece's gradient,
+a subgradient of the max (Glotfelter, Cortes & Egerstedt 2017, "Nonsmooth
+Barrier Functions With Applications to Multi-Robot Systems"). Each barrier
+declares `concavity`, the c in b(x + d) >= b(x) + grad . d - c ||d||^2, which
+the shield's discrete-time rows read. Evaluation is pure; all barrier objects
+are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy.spatial import cKDTree
-
-AXIS_EPS = 1e-9
-
 
 def cross3(a, b):
     """np.cross for operands of shape (..., 3), as the same per-component
@@ -76,28 +70,22 @@ class SphereZone:
         d = np.asarray(X, dtype=np.float64) - self.center
         return np.einsum("ij,ij->i", d, d) - self.radius**2, 2.0 * d
 
-    def hard_value(self, x) -> float:
-        return self.value(x)
-
-    def hard_value_batch(self, X):
-        return self.value_and_grad_batch(X)[0]
-
 
 class CylinderZone:
     """Finite-cylinder no-go zone, safe when radially outside OR past a cap.
 
     b_radial(x)   = ||(x - point) x axis|| - radius
     b_vertical(x) = |(x - point) . axis| - length/2
-    b(x)          = (1/tau) * log(exp(tau*b_radial) + exp(tau*b_vertical)) - log(2)/tau
+    b(x)          = max(b_radial(x), b_vertical(x))
 
-    The log(2)/tau shift puts the smooth max in [max - log(2)/tau, max], so
-    smooth b >= 0 implies hard-max b >= 0. tau defaults to 200 per meter
-    (<= 3.5 mm of conservative slack).
+    The gradient is the active piece's, the radial one on a tie. On the axis,
+    where the radial piece is active only deep inside the zone, its gradient
+    is 0, a subgradient of the norm there.
     """
 
-    concavity = 0.0  # convex pieces and log-sum-exp: b(x + d) >= b(x) + grad . d
+    concavity = 0.0  # a max of convex pieces: b(x + d) >= b(x) + grad . d
 
-    def __init__(self, point, axis, radius: float, length: float, tau: float = 200.0):
+    def __init__(self, point, axis, radius: float, length: float):
         self.point = np.asarray(point, dtype=np.float64)
         axis = np.asarray(axis, dtype=np.float64)
         norm = np.linalg.norm(axis)
@@ -108,39 +96,8 @@ class CylinderZone:
         self.axis = axis
         self.radius = float(radius)
         self.length = float(length)
-        self.tau = float(tau)
-        if self.radius <= 0 or self.length <= 0 or self.tau <= 0:
-            raise ValueError("radius, length and tau must be positive")
-
-    def _off_axis(self, rel: np.ndarray, on_axis: np.ndarray) -> np.ndarray:
-        """rel (B, 3) with the rows flagged on_axis nudged radially off the
-        axis (with a warning), because the radial gradient is undefined there."""
-        warnings.warn(
-            f"{int(on_axis.sum())} point(s) on cylinder axis; perturbing radially by 1e-9"
-        )
-        seed = np.zeros(3)
-        seed[int(np.argmin(np.abs(self.axis)))] = 1.0
-        radial = seed - (seed @ self.axis) * self.axis
-        rel = rel.copy()
-        rel[on_axis] += AXIS_EPS * radial / np.linalg.norm(radial)
-        return rel
-
-    def components_batch(self, X):
-        """(b_radial, b_vertical) of every row of X (B, 3), without smoothing."""
-        rel = np.asarray(X, dtype=np.float64) - self.point
-        w = cross3(rel, self.axis)
-        b_rad = np.sqrt(rowdot(w, w)) - self.radius
-        return b_rad, np.abs(rowdot(rel, self.axis)) - 0.5 * self.length
-
-    def components(self, x):
-        b_rad, b_vert = self.components_batch(np.asarray(x, dtype=np.float64)[None, :])
-        return float(b_rad[0]), float(b_vert[0])
-
-    def hard_value(self, x) -> float:
-        return float(self.hard_value_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
-
-    def hard_value_batch(self, X):
-        return np.maximum(*self.components_batch(X))
+        if self.radius <= 0 or self.length <= 0:
+            raise ValueError("radius and length must be positive")
 
     def value(self, x) -> float:
         return _single(self, x)[0]
@@ -152,25 +109,15 @@ class CylinderZone:
         v = self.axis
         rel = np.asarray(X, dtype=np.float64) - self.point
         w = cross3(rel, v)
-        wn = np.linalg.norm(w, axis=1)
-        if (on_axis := wn < AXIS_EPS).any():
-            rel = self._off_axis(rel, on_axis)
-            w = cross3(rel, v)
-            wn = np.linalg.norm(w, axis=1)
+        wn = np.sqrt(rowdot(w, w))
+        ax = rowdot(rel, v)
         b_rad = wn - self.radius
-        grad_rad = cross3(v, w) / wn[:, None]
-        ax = rel @ v
         b_vert = np.abs(ax) - 0.5 * self.length
-        grad_vert = np.sign(ax)[:, None] * v  # sign(0) = 0: no vertical gradient on the mid-plane
-        # shifted log-sum-exp of the two components, stabilised around the max
-        tau = self.tau
-        top = np.maximum(b_rad, b_vert)
-        e_rad = np.exp(tau * (b_rad - top))
-        e_vert = np.exp(tau * (b_vert - top))
-        denom = e_rad + e_vert
-        b = top + np.log(denom) / tau - np.log(2.0) / tau
-        grad = (e_rad[:, None] * grad_rad + e_vert[:, None] * grad_vert) / denom[:, None]
-        return b, grad
+        # v x w is the radial direction scaled by wn, and 0 on the axis
+        grad_rad = cross3(v, w) / np.where(wn > 0.0, wn, 1.0)[:, None]
+        grad_vert = np.sign(ax)[:, None] * v  # sign(0) = 0: 0 on the mid-plane
+        radial = (b_rad >= b_vert)[:, None]
+        return np.maximum(b_rad, b_vert), np.where(radial, grad_rad, grad_vert)
 
 
 class TaskSpaceBarrier:
@@ -179,10 +126,9 @@ class TaskSpaceBarrier:
     b(s) = radius^2 - ||s - s_nearest||^2 with s_nearest a closest stored state:
     the max over stored states d_i of the pieces radius^2 - ||s - d_i||^2. So b
     is no less than any piece, and tied states give pieces of equal value, each
-    a valid active piece (Glotfelter, Cortes & Egerstedt 2017, "Nonsmooth
-    Barrier Functions With Applications to Multi-Robot Systems"); nearest()
-    returns whichever tied state the kd-tree finds. The gradient treats
-    s_nearest as locally constant, exact within a Voronoi cell.
+    a valid active piece; nearest() returns whichever tied state the kd-tree
+    finds. The gradient treats s_nearest as locally constant, exact within a
+    Voronoi cell.
     """
 
     concavity = 1.0  # the active piece: b_i(s + d) = b_i(s) + grad . d - ||d||^2
@@ -218,9 +164,6 @@ class TaskSpaceBarrier:
         d = S - self.states[self.nearest(S)]
         return self.radius**2 - np.einsum("ij,ij->i", d, d), -2.0 * d
 
-    def hard_value(self, s) -> float:
-        return self.value(s)
-
 
 def zone_from_config(cfg: dict):
     """Build a spatial zone from its run-config JSON entry."""
@@ -233,6 +176,5 @@ def zone_from_config(cfg: dict):
             axis=cfg["axis"],
             radius=cfg["radius"],
             length=cfg["length"],
-            tau=cfg.get("tau", 200.0),
         )
     raise ValueError(f"unknown zone type {kind!r}")

@@ -46,7 +46,6 @@ ZONE_SCHEMA = {
                 "axis": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
                 "radius": {"type": "number", "exclusiveMinimum": 0},
                 "length": {"type": "number", "exclusiveMinimum": 0},
-                "tau": {"type": "number", "exclusiveMinimum": 0},
             },
             "required": ["type", "point", "axis", "radius", "length"],
             "additionalProperties": False,

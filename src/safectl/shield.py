@@ -13,7 +13,7 @@ A task-space piece is concave, b_i(s + d) = b_i(s) + grad b_i . d - ||d||^2,
 so its row also subtracts dt * (||f|| + ||g|| * ||a_max|| + e_sdot)^2, which
 bounds ||d||^2 / dt over the action box, and b >= b_i* at s' carries the bound
 to b (Glotfelter et al. 2017). The guarantee assumes convex zone barriers (the
-sphere, the cylinder pieces and their log-sum-exp all are), an exact state,
+sphere and the cylinder, a max of convex pieces, are), an exact state,
 the action held for the whole step (zero-order hold), and an e_sdot that
 covers the applied action.
 

@@ -169,7 +169,7 @@ def test_criterion_4_theorem_invariance_property(default_stack):
         env = KinematicEnv(env_cfg, [(4, seed)], field_fn=field)
         obs = env.observe()[0]
         states, infeasible = [env.state[0].copy()], False
-        assert zone.hard_value(env.state[0]) > 0, "start must be safe"
+        assert zone.value(env.state[0]) > 0, "start must be safe"
         for t in range(100):
             a = np.clip(knn.action(obs), -0.05, 0.05)
             rep = shield.filter(a, obs)
@@ -180,13 +180,12 @@ def test_criterion_4_theorem_invariance_property(default_stack):
             max_sdot_err = max(max_sdot_err, float(np.abs(err).sum()))
             states.append(env.state[0].copy())
         states = np.asarray(states)
-        margins = np.array([zone.hard_value(s) for s in states])
-        worst = min(worst, margins.min(), min(behavioral.hard_value(s) for s in states))
+        margins = [np.array([b.value(s) for s in states]) for b in (zone, behavioral)]
+        worst = min(worst, *(v.min() for v in margins))
         # the one-step condition every feasible filtered step guarantees:
         # b(s_{t+1}) >= (1 - kappa) b(s_t), up to float rounding
-        decayed = [np.array([b.value(s) for s in states]) for b in (zone, behavioral)]
-        held = all(np.all(v[1:] >= decay * v[:-1] - 1e-15) for v in decayed)
-        if infeasible or not held or margins.min() < 0:
+        held = all(np.all(v[1:] >= decay * v[:-1] - 1e-15) for v in margins)
+        if infeasible or not held or margins[0].min() < 0:
             violations += 1
     # the declared derivative bound must actually hold on everything executed
     precondition_ok = max_sdot_err <= declared.e_sdot
@@ -280,8 +279,8 @@ def test_criterion_6_gradient_audits():
     checked = 0
     while checked < 60:
         x = rng.uniform(-2, 2, 3)
-        b_rad, b_vert = cyl.components(x)
         radial = np.linalg.norm(np.cross(x - cyl.point, cyl.axis))
+        b_rad, b_vert = radial - cyl.radius, abs(x[2]) - 0.5 * cyl.length
         near_kink = radial < 0.05 or abs(b_rad - b_vert) < 0.05 or abs(x[2]) < 0.05
         d = np.sort(np.linalg.norm(tsb.states - x, axis=1))
         near_voronoi = d[1] - d[0] < 1e-3

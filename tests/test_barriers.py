@@ -54,47 +54,53 @@ class TestSphere:
             SphereZone(center=[0, 0, 0], radius=0.0)
 
 
+def cylinder_pieces(zone, x):
+    """(b_radial, b_vertical) at one point, from np.cross and np.linalg.norm."""
+    rel = np.asarray(x, dtype=np.float64) - zone.point
+    return (float(np.linalg.norm(np.cross(rel, zone.axis)) - zone.radius),
+            float(abs(rel @ zone.axis) - 0.5 * zone.length))
+
+
 class TestCylinder:
     def setup_method(self):
         self.zone = CylinderZone(point=[0, 0, 0], axis=[0, 0, 1], radius=1.0, length=2.0)
 
     def test_radially_outside(self):
-        b_rad, b_vert = self.zone.components([2.0, 0.0, 0.0])
-        assert (b_rad, b_vert) == (pytest.approx(1.0), pytest.approx(-1.0))
-        b = self.zone.value([2.0, 0.0, 0.0])
-        assert 1.0 - np.log(2) / self.zone.tau <= b <= 1.0
+        # pieces (1, -1): the radial one is active
+        b, grad = self.zone.value_and_grad([2.0, 0.0, 0.0])
+        assert b == 1.0 and grad.tolist() == [1.0, 0.0, 0.0]
 
     def test_beyond_cap(self):
-        b_rad, b_vert = self.zone.components([0.0, 0.0, 3.0])
-        assert (b_rad, b_vert) == (pytest.approx(-1.0), pytest.approx(2.0))
-        with pytest.warns(UserWarning, match="axis"):  # the query sits on the axis
-            b = self.zone.value([0.0, 0.0, 3.0])
-        assert 2.0 - np.log(2) / self.zone.tau <= b <= 2.0
+        # pieces (-1, 2) on the axis: the vertical one is active, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b, grad = self.zone.value_and_grad([0.0, 0.0, 3.0])
+        assert b == 2.0 and grad.tolist() == [0.0, 0.0, 1.0]
 
     def test_inside_is_negative(self):
-        b_rad, b_vert = self.zone.components([0.5, 0.0, 0.0])
-        assert (b_rad, b_vert) == (pytest.approx(-0.5), pytest.approx(-1.0))
-        assert self.zone.value([0.5, 0.0, 0.0]) < 0.0
+        # pieces (-0.5, -1): the radial one is active
+        b, grad = self.zone.value_and_grad([0.5, 0.0, 0.0])
+        assert b == -0.5 and grad.tolist() == [1.0, 0.0, 0.0]
 
-    def test_smooth_max_is_conservative(self):
-        # smooth value in [hard_max - ln2/tau, hard_max] on random points
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            x = rng.uniform(-3, 3, 3)
-            hard = self.zone.hard_value(x)
-            smooth = self.zone.value(x)
-            assert smooth <= hard + 1e-12
-            assert smooth >= hard - np.log(2) / self.zone.tau - 1e-12
+    def test_on_axis_deep_inside_has_zero_gradient(self):
+        # |ax| <= length/2 - radius on the axis: the radial piece -radius is
+        # active, and 0 is a subgradient of the norm there; a tie takes it too
+        zone = CylinderZone(point=[0.5, -0.25, 0.25], axis=[0, 0, 1], radius=0.25, length=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b, grad = zone.value_and_grad_batch(zone.point + np.outer([0.0, 0.5, -0.75], zone.axis))
+        assert b.tolist() == [-0.25, -0.25, -0.25]  # the last row is a tie
+        assert grad.tolist() == [[0.0, 0.0, 0.0]] * 3
 
     def test_gradient_vs_finite_differences_away_from_kinks(self):
         rng = np.random.default_rng(3)
         checked = 0
         while checked < 100:
             x = rng.uniform(-3, 3, 3)
-            b_rad, b_vert = self.zone.components(x)
-            # skip the declared non-smooth loci: the axis and the component kink
-            radial = np.linalg.norm(np.cross(x - self.zone.point, self.zone.axis))
-            if radial < 0.05 or abs(b_rad - b_vert) < 0.05 or abs((x - self.zone.point) @ self.zone.axis) < 0.05:
+            b_rad, b_vert = cylinder_pieces(self.zone, x)
+            # skip the declared non-smooth loci: the axis and the tie set of the pieces
+            if b_rad + self.zone.radius < 0.05 or abs(b_rad - b_vert) < 0.05 \
+                    or abs((x - self.zone.point) @ self.zone.axis) < 0.05:
                 continue
             _, grad = self.zone.value_and_grad(x)
             fd = central_diff_grad(self.zone.value, x)
@@ -102,10 +108,30 @@ class TestCylinder:
             assert np.linalg.norm(grad - fd) / denom < 1e-5
             checked += 1
 
-    def test_on_axis_perturbs_and_warns(self):
-        with pytest.warns(UserWarning, match="axis"):
-            b, grad = self.zone.value_and_grad([0.0, 0.0, 0.0])
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["rim", "axis", "random"]),
+           st.sampled_from([[0, 0, 1], [1, 2, -0.5]]),
+           arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+           arrays(np.float64, (8, 3), elements=st.floats(-1.0, 1.0)),
+           st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]))
+    def test_gradient_is_a_subgradient(self, where, axis, x, Y, t, cap):
+        # b(y) >= b(x) + grad(x) . (y - x) for every y: the convexity bound
+        # the shield's discrete-time rows rest on, on the tie set (the cap
+        # rim), on the axis inside the zone, and anywhere
+        zone = CylinderZone([0.1, -0.2, 0.3], axis, radius=0.2, length=0.8)
+        v = zone.axis
+        if where == "rim":
+            u = np.cross(v, x if np.linalg.norm(np.cross(v, x)) > 1e-3 else [1.0, 0.0, 0.0])
+            x = zone.point + cap * 0.5 * zone.length * v + zone.radius * u / np.linalg.norm(u)
+        elif where == "axis":
+            x = zone.point + t * (0.5 * zone.length - zone.radius) * v
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b, grad = zone.value_and_grad(x)
+            Y = np.vstack([x + 1e-3 * Y, x + Y])
+            b_y = zone.value_and_grad_batch(Y)[0]
         assert np.all(np.isfinite(grad))
+        assert np.all(b_y >= b + (Y - x) @ grad - 1e-12)
 
     def test_axis_normalised_and_validated(self):
         z = CylinderZone(point=[0, 0, 0], axis=[0, 0, 2.0], radius=1.0, length=1.0)
@@ -170,17 +196,17 @@ def test_zone_from_config():
     assert isinstance(sphere, SphereZone)
     assert np.array_equal(sphere.center, [1, 2, 3])
     cyl = zone_from_config({"type": "cylinder", "point": [0, 0, 0], "axis": [1, 0, 0],
-                            "radius": 0.3, "length": 1.0, "tau": 100.0})
+                            "radius": 0.3, "length": 1.0})
     assert isinstance(cyl, CylinderZone)
-    assert cyl.tau == 100.0
+    assert (cyl.axis.tolist(), cyl.radius, cyl.length) == ([1.0, 0.0, 0.0], 0.3, 1.0)
     with pytest.raises(ValueError, match="unknown zone type"):
         zone_from_config({"type": "torus"})
 
 
 # -- batched evaluation against per-point references ---------------------------------
 #
-# The references below are the per-point implementations the batched methods
-# replaced; batched rows must match them within 1e-12.
+# The references below are per-point implementations of the batched methods;
+# batched rows must match them within 1e-12.
 
 def sphere_reference(zone, x):
     d = np.asarray(x, dtype=np.float64) - zone.center
@@ -188,26 +214,13 @@ def sphere_reference(zone, x):
 
 
 def cylinder_reference(zone, x):
+    b_rad, b_vert = cylinder_pieces(zone, x)
     rel = np.asarray(x, dtype=np.float64) - zone.point
-    v = zone.axis
-    if np.linalg.norm(np.cross(rel, v)) < 1e-9:
-        seed = np.zeros(3)
-        seed[int(np.argmin(np.abs(v)))] = 1.0
-        radial = seed - (seed @ v) * v
-        rel = rel + 1e-9 * radial / np.linalg.norm(radial)
-    w = np.cross(rel, v)
+    if b_rad < b_vert:
+        return b_vert, np.sign(rel @ zone.axis) * zone.axis
+    w = np.cross(rel, zone.axis)
     wn = np.linalg.norm(w)
-    b_rad = wn - zone.radius
-    grad_rad = np.cross(v, w) / wn
-    ax = rel @ v
-    b_vert = abs(ax) - 0.5 * zone.length
-    grad_vert = np.sign(ax) * v if ax != 0.0 else 0.0 * v
-    top = max(b_rad, b_vert)
-    e_rad = np.exp(zone.tau * (b_rad - top))
-    e_vert = np.exp(zone.tau * (b_vert - top))
-    denom = e_rad + e_vert
-    b = top + np.log(denom) / zone.tau - np.log(2.0) / zone.tau
-    return float(b), (e_rad * grad_rad + e_vert * grad_vert) / denom
+    return b_rad, np.cross(zone.axis, w) / wn if wn > 0.0 else np.zeros(3)
 
 
 def task_space_reference(barrier, s):
@@ -254,29 +267,22 @@ class TestBatchedEvaluation:
     @settings(max_examples=60, deadline=None)
     @given(points3, st.sampled_from([[0, 0, 1], [1, 2, -0.5], [0.3, -1, 0]]))
     def test_cylinder(self, X, axis):
-        zone = CylinderZone([0.1, -0.2, 0.0], axis, radius=0.4, length=1.2, tau=50.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a drawn point may sit on the axis
-            assert_batch_matches(zone, cylinder_reference, X)
+        zone = CylinderZone([0.1, -0.2, 0.0], axis, radius=0.4, length=1.2)
+        assert_batch_matches(zone, cylinder_reference, X)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=10),
-           st.lists(st.floats(-0.7, 0.7), min_size=1, max_size=10))
-    def test_cylinder_on_axis_points_warn_and_match(self, ts, offsets):
-        # on-axis rows mixed with off-axis ones, including the mid-plane ax = 0
-        zone = CylinderZone([0.1, -0.2, 0.3], [1, 2, -0.5], radius=0.4, length=1.2)
+           st.lists(st.floats(-0.7, 0.7), min_size=1, max_size=10),
+           st.sampled_from([[0, 0, 1], [1, 2, -0.5]]))
+    def test_cylinder_on_axis_points_match(self, ts, offsets, axis):
+        # on-axis rows mixed with off-axis ones, including the mid-plane ax = 0;
+        # along [0, 0, 1] the on-axis rows sit exactly on it
+        zone = CylinderZone([0.1, -0.2, 0.3], axis, radius=0.4, length=1.2)
         on = zone.point + np.outer(ts + [0.0], zone.axis)
         off = on[np.arange(len(offsets)) % len(on)] + np.outer(offsets, [0.3, 0.0, 0.6])
-        X = np.vstack([on, off])
-        with pytest.warns(UserWarning, match="axis"):
-            b, grad = zone.value_and_grad_batch(X)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for i, x in enumerate(X):
-                b_ref, g_ref = cylinder_reference(zone, x)
-                assert abs(b[i] - b_ref) <= 1e-12
-                assert np.max(np.abs(grad[i] - g_ref)) <= 1e-12
-        assert np.all(np.isfinite(grad))
+            warnings.simplefilter("error")
+            assert_batch_matches(zone, cylinder_reference, np.vstack([on, off]))
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(4)),
@@ -328,7 +334,7 @@ def test_cross3_is_bitwise_np_cross(X, v, ex, ev):
        arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
        st.integers(-9, 2))
 def test_row_batches_are_bitwise_the_one_point_products(X, v, ex):
-    # rowdot is the 1-D BLAS dot row by row; the hard values built on it are
+    # rowdot is the 1-D BLAS dot row by row; the zone values built on it are
     # the one-point formulas, so a lockstep episode's margins are its own
     X = X * 10.0**ex
     for a, b in ((X, v), (X, X[::-1])):
@@ -338,7 +344,7 @@ def test_row_batches_are_bitwise_the_one_point_products(X, v, ex):
     rel = X - cyl.point
     want = [max(float(np.linalg.norm(cross3(r, cyl.axis)) - cyl.radius),
                 float(abs(r @ cyl.axis) - 0.5 * cyl.length)) for r in rel]
-    assert cyl.hard_value_batch(X).tolist() == want
-    assert [cyl.hard_value(x) for x in X] == want
+    assert cyl.value_and_grad_batch(X)[0].tolist() == want
+    assert [cyl.value(x) for x in X] == want
     sphere = SphereZone([0.1, 0.2, 0.0], 0.07)
-    assert sphere.hard_value_batch(X).tolist() == [sphere.hard_value(x) for x in X]
+    assert sphere.value_and_grad_batch(X)[0].tolist() == [sphere.value(x) for x in X]

@@ -101,6 +101,25 @@ def test_removed_shield_key_on_the_command_line_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+TAU_CYLINDER = {"type": "cylinder", "point": [0, 0, 0], "axis": [0, 0, 1], "radius": 0.03,
+                "length": 0.1, "tau": 200}
+
+
+def test_cylinder_tau_is_rejected(tmp_path, capsys):
+    # a cylinder zone's value is the max of its pieces, with nothing to set
+    with pytest.raises(ConfigError, match="^config invalid at env/zones/0"):
+        config.validate(bad(["env", "zones"], [TAU_CYLINDER]))
+    config.validate(bad(["env", "zones"], [{k: v for k, v in TAU_CYLINDER.items() if k != "tau"}]))
+    from safectl import cli
+
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(bad(["env", "zones"], [TAU_CYLINDER])))
+    code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "config invalid at env/zones/0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 NON_FINITE = {
     "NaN gamma": (["shield", "gamma"], float("nan"), "shield/gamma: nan"),
     "infinite dt": (["env", "dt"], float("inf"), "env/dt: inf"),

@@ -266,14 +266,13 @@ class TestZoneMargins:
         margins = self.series([SphereZone([0, 0, 0], 0.5)], traj)
         assert margins.min() == pytest.approx(-0.25, abs=1e-12)
 
-    def test_hard_values_used_for_cylinders(self):
-        zone = CylinderZone([0, 0, 0], [0, 0, 1], 1.0, 2.0)
-        margins = zone_margins([zone], np.array([[1.0, 0.0, 0.0]]))[0]
-        # hard max of (0, -1) is exactly 0: not a violation, while the smooth
-        # value would be negative
-        assert margins[0] == pytest.approx(0.0, abs=1e-12)
-        assert zone.value([1.0, 0.0, 0.0]) < 0.0
-
+    def test_zone_margin_is_the_barrier_value(self):
+        zones = [CylinderZone([0, 0, 0], [0, 0, 1], 1.0, 2.0), SphereZone([0, 0, 0], 0.5)]
+        X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.3, 0.4, -0.2]])
+        margins = zone_margins(zones, X)
+        # the cylinder's max of (0, -1) is exactly 0 on the side surface: not a violation
+        assert margins[:, 0].tolist() == [0.0, 2.0, -0.5]
+        assert margins.tolist() == [[z.value(x) for z in zones] for x in X]
     def test_no_zones_no_margins(self):
         assert zone_margins([], np.zeros((2, 3))).shape == (2, 0)
 
