@@ -285,14 +285,12 @@ def init_mlp(n_in: int, n_hidden: int, n_out: int, seed: int = 0) -> MlpParams:
 
 
 def forward_mlp(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the MLP on x of shape (n_in,) or (n_in, B)."""
+    """Evaluate the MLP on the columns of x (n_in, B); returns (n_out, B)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != params.w1.shape[1]:
-        raise DimensionError(
-            f"forward_mlp: input dim {x.shape[0]} != expected {params.w1.shape[1]}"
-        )
-    h = gelu(params.w1 @ x + (params.b1 if x.ndim == 1 else params.b1[:, None]))
-    return params.w2 @ h + (params.b2 if x.ndim == 1 else params.b2[:, None])
+    if x.ndim != 2 or x.shape[0] != params.w1.shape[1]:
+        # a 1-D x would broadcast against the bias columns into garbage
+        raise DimensionError(f"forward_mlp: input shape {x.shape} != ({params.w1.shape[1]}, B)")
+    return params.w2 @ gelu(params.w1 @ x + params.b1[:, None]) + params.b2[:, None]
 
 
 class TapedMlp:

@@ -16,7 +16,8 @@ import jsonschema
 import numpy as np
 
 from .barriers import TaskSpaceBarrier, zone_from_config
-from .control import KnnExpertPolicy, ScriptedExpert, path_from_config
+from .control import (KnnExpertPolicy, ReferencePath, ScriptedExpert, circle_path, straight_path,
+                      triangle_path)
 from .dynamics import TrainConfig
 from .shield import ConstraintSpec, SafetyShield, ShieldConfig
 from .sim import ClfPolicy, EnvConfig, KnnPolicy, ScriptedPolicy
@@ -26,31 +27,24 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+def _zone_kind(kind: str, **fields) -> dict:
+    """An if/then pair that applies one zone kind's schema when `type` names
+    it, so an error names that kind's bad key, not a mismatch of the other."""
+    return {"if": {"properties": {"type": {"const": kind}}},
+            "then": {"properties": {"type": {}, **fields},
+                     "required": ["type", *fields], "additionalProperties": False}}
+
+
+_VEC3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 ZONE_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "sphere"},
-                "center": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["type", "center", "radius"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "cylinder"},
-                "point": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-                "axis": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-                "length": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["type", "point", "axis", "radius", "length"],
-            "additionalProperties": False,
-        },
-    ]
+    "type": "object",
+    "properties": {"type": {"enum": ["sphere", "cylinder"]}},
+    "required": ["type"],
+    "allOf": [
+        _zone_kind("sphere", center=_VEC3, radius=_POSITIVE),
+        _zone_kind("cylinder", point=_VEC3, axis=_VEC3, radius=_POSITIVE, length=_POSITIVE),
+    ],
 }
 
 PATH_SCHEMA = {
@@ -58,11 +52,6 @@ PATH_SCHEMA = {
     "properties": {
         "type": {"enum": ["straight", "circle", "triangle", "waypoints"]},
         "length": {"type": "number", "exclusiveMinimum": 0},
-        "start": {"type": "array", "items": {"type": "number"}},
-        "direction": {"type": "array", "items": {"type": "number"}},
-        "center": {"type": "array", "items": {"type": "number"}},
-        "n_points": {"type": "integer", "minimum": 2},
-        "n_per_edge": {"type": "integer", "minimum": 2},
         "waypoints": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
     },
     "additionalProperties": False,
@@ -239,8 +228,10 @@ def validate(raw: dict) -> dict:
         # build_env pads a short start with zeros; a long one fits no state
         raise ConfigError(f"config invalid at env/start: {len(e['start'])} entries "
                           f"for env.n_state={e['n_state']}")
-    if cfg["policy"]["type"] == "clf" and "path" not in cfg["policy"]:
-        # CLF needs a reference; default to the straight toy path from the start
+    if "path" not in cfg["policy"] and (cfg["policy"]["type"] == "clf"
+                                        or e["task"] == "path-follow"):
+        # the CLF tracks a path and path-follow scores against its last
+        # waypoint; default to the straight path from the start to the goal
         cfg["policy"]["path"] = {"type": "straight"}
     return cfg
 
@@ -309,18 +300,34 @@ def build_train_config(cfg: dict, seed: int | None = None) -> TrainConfig:
     )
 
 
-def build_path(cfg: dict):
+# the centre of the circle and triangle paths, mid-workspace of the toy benchmark
+PATH_CENTER = (0.20, 0.20, 0.10)
+
+
+def build_path(cfg: dict) -> ReferencePath | None:
+    """The policy's reference path, or None when the config has none.
+
+    straight: from env.start[:3] toward env.goal, `length` along that
+    direction (to the goal by default), 20 points. circle and triangle: the
+    toy benchmark's 0.75 m and 0.30 m (or `length`) around PATH_CENTER.
+    waypoints: as given. Every path is padded with zeros to n_state (yaw
+    tracks 0)."""
     p = cfg["policy"].get("path")
     if p is None:
         return None
-    pc = dict(p)
-    if pc.get("type") == "straight" and "start" not in pc:
-        pc["start"] = list(cfg["env"]["start"][:3])
-        if "direction" not in pc:
-            d = np.asarray(cfg["env"]["goal"]) - np.asarray(cfg["env"]["start"][:3])
-            pc["direction"] = d.tolist()
-            pc.setdefault("length", float(np.linalg.norm(d)))
-    return path_from_config(pc, cfg["env"]["n_state"])
+    kind = p.get("type", "waypoints")
+    if kind == "straight":
+        start = np.asarray(cfg["env"]["start"][:3], dtype=np.float64)
+        d = np.asarray(cfg["env"]["goal"], dtype=np.float64) - start
+        norm = np.linalg.norm(d)
+        w = straight_path(start, start + p.get("length", norm) * (d / norm)).waypoints
+    elif kind == "circle":
+        w = circle_path(PATH_CENTER, p.get("length", 0.75) / (2.0 * np.pi)).waypoints
+    elif kind == "triangle":
+        w = triangle_path(PATH_CENTER, p.get("length", 0.30) / 3.0).waypoints
+    else:
+        w = np.asarray(p["waypoints"], dtype=np.float64)
+    return ReferencePath(np.pad(w, ((0, 0), (0, max(cfg["env"]["n_state"] - w.shape[1], 0)))))
 
 
 def build_expert(cfg: dict) -> ScriptedExpert:

@@ -46,55 +46,47 @@ class ReferencePath:
         if np.any(gaps == 0.0):
             raise ValueError("consecutive waypoints must be distinct")
 
-    def __len__(self) -> int:
-        return self.waypoints.shape[0]
-
-    def arc_length(self) -> float:
-        return float(np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1).sum())
-
-    def distance_to(self, points):
-        """Distance from each point of `points` (T, n), or from one point (n,),
-        to the waypoint polyline (used for tracking deviation): every
-        segment's clamped projection at once, then the nearest. Returns a
-        (T,) array, or a float for one point."""
+    def distance_to(self, points) -> np.ndarray:
+        """Distance from each point of `points` (T, n) to the waypoint
+        polyline (used for tracking deviation): every segment's clamped
+        projection at once, then the nearest. Returns a (T,) array."""
         p = np.asarray(points, dtype=np.float64)
         start = self.waypoints[:-1]
         seg = np.diff(self.waypoints, axis=0)  # (M, n)
-        rel = p[..., None, :] - start  # (..., M, n)
+        rel = p[:, None, :] - start  # (T, M, n)
         t = np.clip((rel * seg).sum(axis=-1) / (seg * seg).sum(axis=-1), 0.0, 1.0)
-        d = np.linalg.norm(p[..., None, :] - (start + t[..., None] * seg), axis=-1)
-        best = d.min(axis=-1)
-        return float(best) if p.ndim == 1 else best
+        return np.linalg.norm(p[:, None, :] - (start + t[..., None] * seg), axis=-1).min(axis=-1)
 
 
-def straight_path(start, end, n_points: int = 36) -> ReferencePath:
+def straight_path(start, end, n_points: int = 20) -> ReferencePath:
     start = np.asarray(start, dtype=np.float64)
     end = np.asarray(end, dtype=np.float64)
     t = np.linspace(0.0, 1.0, n_points)[:, None]
     return ReferencePath((1 - t) * start + t * end)
 
 
-def circle_path(center, radius: float, n_points: int = 72, plane=(0, 1)) -> ReferencePath:
-    """Closed circle of given radius in the (plane) coordinates, other
-    coordinates held at the center values."""
+def circle_path(center, radius: float, n_points: int = 72) -> ReferencePath:
+    """Closed circle of given radius in the x-y plane, z (and any further
+    coordinate) held at the center's."""
     center = np.asarray(center, dtype=np.float64)
     ang = np.linspace(0.0, 2.0 * np.pi, n_points)
     pts = np.tile(center, (n_points, 1))
-    pts[:, plane[0]] += radius * np.cos(ang)
-    pts[:, plane[1]] += radius * np.sin(ang)
+    pts[:, 0] += radius * np.cos(ang)
+    pts[:, 1] += radius * np.sin(ang)
     return ReferencePath(pts)
 
 
-def triangle_path(center, side: float, n_per_edge: int = 12, plane=(0, 1)) -> ReferencePath:
-    """Closed equilateral triangle with the given side length."""
+def triangle_path(center, side: float, n_per_edge: int = 12) -> ReferencePath:
+    """Closed equilateral triangle with the given side length in the x-y
+    plane around the center."""
     center = np.asarray(center, dtype=np.float64)
     r = side / np.sqrt(3.0)
     corners = []
     for k in range(3):
         ang = np.pi / 2 + 2.0 * np.pi * k / 3.0
         c = center.copy()
-        c[plane[0]] += r * np.cos(ang)
-        c[plane[1]] += r * np.sin(ang)
+        c[0] += r * np.cos(ang)
+        c[1] += r * np.sin(ang)
         corners.append(c)
     corners.append(corners[0])
     pts = []
@@ -103,40 +95,6 @@ def triangle_path(center, side: float, n_per_edge: int = 12, plane=(0, 1)) -> Re
         pts.append((1 - t) * a + t * b)
     pts.append(corners[0][None, :])
     return ReferencePath(np.vstack(pts))
-
-
-def path_from_config(cfg: dict, n_state: int) -> ReferencePath:
-    """Build a reference path from its run-config entry.
-
-    The built-in types reproduce the toy-benchmark geometry: straight 0.35 m,
-    circular 0.75 m, triangular 0.30 m arc length by default. Waypoints are
-    padded with zeros up to n_state (yaw tracks 0).
-    """
-    kind = cfg.get("type", "waypoints")
-    if kind == "waypoints":
-        w = np.asarray(cfg["waypoints"], dtype=np.float64)
-    elif kind == "straight":
-        length = float(cfg.get("length", 0.35))
-        start = np.asarray(cfg.get("start", [0.05, 0.05, 0.10]), dtype=np.float64)
-        direction = np.asarray(cfg.get("direction", [1.0, 1.0, 0.0]), dtype=np.float64)
-        direction = direction / np.linalg.norm(direction)
-        w = straight_path(start, start + length * direction, cfg.get("n_points", 20)).waypoints
-    elif kind == "circle":
-        length = float(cfg.get("length", 0.75))
-        radius = length / (2.0 * np.pi)
-        w = circle_path(
-            cfg.get("center", [0.20, 0.20, 0.10]), radius, cfg.get("n_points", 72)
-        ).waypoints
-    elif kind == "triangle":
-        length = float(cfg.get("length", 0.30))
-        w = triangle_path(
-            cfg.get("center", [0.20, 0.20, 0.10]), length / 3.0, cfg.get("n_per_edge", 12)
-        ).waypoints
-    else:
-        raise ValueError(f"unknown path type {kind!r}")
-    if w.shape[1] < n_state:
-        w = np.hstack([w, np.zeros((w.shape[0], n_state - w.shape[1]))])
-    return ReferencePath(w)
 
 
 def select_waypoint(path: ReferencePath, s, current_index: int, threshold: float):

@@ -69,14 +69,10 @@ class NeuralOdeModel:
         return cls(n_state=n_state, n_action=n_action, params=params, hidden=hidden, dt=dt)
 
     def drift_and_gain(self, s):
-        """Split the MLP output into drift f (n_state,) and gain G (n_state, n_action)."""
-        s = np.asarray(s, dtype=np.float64)
-        if s.shape != (self.n_state,):
-            raise ValueError(f"state shape {s.shape} != ({self.n_state},)")
-        out = forward_mlp(self.params, s)
-        f = out[: self.n_state]
-        g = out[self.n_state :].reshape(self.n_state, self.n_action)
-        return f, g
+        """drift_and_gain_batch at one state s (n_state,): drift f (n_state,)
+        and gain G (n_state, n_action)."""
+        f, g = self.drift_and_gain_batch(np.asarray(s, dtype=np.float64)[None, :])
+        return f[0], g[0]
 
     def drift_and_gain_batch(self, S):
         """drift_and_gain for every row of S (B, n_state) in one MLP call:
@@ -114,50 +110,6 @@ class NeuralOdeModel:
             dt=float(header["dt"]),
         )
         return model, header
-
-
-@dataclass
-class AffineModel:
-    """Exact affine field sdot = A s + B a + c with the NeuralOdeModel interface.
-
-    Used as an injected ground truth in tests and for constructing systems
-    whose Lie derivatives have closed forms (e.g. the pure integrator
-    AffineModel.integrator(n)).
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    c: np.ndarray | None = None
-    dt: float = 0.1
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.B = np.asarray(self.B, dtype=np.float64)
-        self.c = np.zeros(self.A.shape[0]) if self.c is None else np.asarray(self.c, dtype=np.float64)
-
-    @classmethod
-    def integrator(cls, n: int, dt: float = 0.1) -> "AffineModel":
-        return cls(A=np.zeros((n, n)), B=np.eye(n), dt=dt)
-
-    @property
-    def n_state(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_action(self) -> int:
-        return self.B.shape[1]
-
-    def drift_and_gain(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        return self.A @ s + self.c, self.B
-
-    def drift_and_gain_batch(self, S):
-        S = np.asarray(S, dtype=np.float64)
-        return S @ self.A.T + self.c, np.broadcast_to(self.B, (S.shape[0],) + self.B.shape)
-
-    def field(self, s, a):
-        f, g = self.drift_and_gain(s)
-        return f + g @ np.asarray(a, dtype=np.float64)
 
 
 # -- integration ---------------------------------------------------------------

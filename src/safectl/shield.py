@@ -159,10 +159,7 @@ class SafetyShield:
 
     def margins(self, s) -> np.ndarray:
         """Per-constraint barrier value at the current state."""
-        s = np.asarray(s, dtype=np.float64)
-        return np.array(
-            [spec.barrier.value(s[COLUMNS[spec.binding]]) for spec in self.config.constraints]
-        )
+        return self.rows_and_margins(s)[2]
 
     def filter(self, a_des, s) -> FilterReport:
         """Solve min ||a - a_des||^2 subject to all robust CBF rows and the

@@ -1,6 +1,7 @@
 """Shared fixtures: the default evaluation stack (demonstrations, trained
 models, uncertainty bounds) built once per session at the full default
-configuration, plus the scenario geometry used by the acceptance suite."""
+configuration, plus the scenario geometry used by the acceptance suite and
+an exact affine model with the NeuralOdeModel interface."""
 
 from __future__ import annotations
 
@@ -9,9 +10,54 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from safectl import config
 from safectl import dynamics as dyn
 from safectl.control import ScriptedExpert
 from safectl.sim import EnvConfig, ScriptedPolicy, run_episode
+
+
+@dataclass
+class AffineModel:
+    """Exact affine field sdot = A s + B a + c with the NeuralOdeModel interface.
+
+    An injected ground truth, and a system whose Lie derivatives have closed
+    forms (e.g. the pure integrator AffineModel.integrator(n)).
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    c: np.ndarray | None = None
+    dt: float = 0.1
+
+    def __post_init__(self):
+        self.A = np.asarray(self.A, dtype=np.float64)
+        self.B = np.asarray(self.B, dtype=np.float64)
+        self.c = np.zeros(self.A.shape[0]) if self.c is None else np.asarray(self.c, dtype=np.float64)
+
+    @classmethod
+    def integrator(cls, n: int, dt: float = 0.1) -> "AffineModel":
+        return cls(A=np.zeros((n, n)), B=np.eye(n), dt=dt)
+
+    @property
+    def n_state(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def n_action(self) -> int:
+        return self.B.shape[1]
+
+    def drift_and_gain(self, s):
+        s = np.asarray(s, dtype=np.float64)
+        return self.A @ s + self.c, self.B
+
+    def drift_and_gain_batch(self, S):
+        S = np.asarray(S, dtype=np.float64)
+        return S @ self.A.T + self.c, np.broadcast_to(self.B, (S.shape[0],) + self.B.shape)
+
+    def field(self, s, a):
+        f, g = self.drift_and_gain(s)
+        return f + g @ np.asarray(a, dtype=np.float64)
+
 
 START = np.array([0.05, 0.05, 0.05, 0.0])
 GOAL = np.array([0.30, 0.30, 0.15])
@@ -24,6 +70,14 @@ def zone_on_path(offset: float = 0.02, radius: float = 0.045) -> dict:
     perp = np.cross(GOAL - START[:3], [0.0, 0.0, 1.0])
     perp /= np.linalg.norm(perp)
     return {"type": "sphere", "center": (mid + offset * perp).tolist(), "radius": radius}
+
+
+def straight_path_to(goal=GOAL):
+    """The straight reference path a path-follow config gets from START to
+    goal when it names none, built by config.build_path."""
+    cfg = config.validate({"version": 1, "env": {"task": "path-follow", "start": START.tolist(),
+                                                  "goal": list(goal)}})
+    return config.build_path(cfg)
 
 
 def reach_env(zones=(), **kw) -> EnvConfig:

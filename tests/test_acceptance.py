@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import GOAL, START, reach_env, zone_on_path
+from conftest import GOAL, START, AffineModel, reach_env, straight_path_to, zone_on_path
 from safectl import dynamics as dyn
 from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier, zone_from_config
-from safectl.control import KnnExpertPolicy, path_from_config
+from safectl.control import KnnExpertPolicy
 from safectl.shield import ConstraintSpec, SafetyShield, ShieldConfig
 from safectl.sim import ClfPolicy, KinematicEnv, KnnPolicy, run_episode
 
@@ -45,13 +45,6 @@ class Criterion:
         assert elapsed <= self.budget, f"criterion {self.number} over budget: {elapsed:.1f}s"
 
 
-def straight_path_through_zone():
-    d3 = GOAL - START[:3]
-    return path_from_config(
-        {"type": "straight", "start": START[:3].tolist(), "direction": d3.tolist(),
-         "length": float(np.linalg.norm(d3))}, 4)
-
-
 def make_shield(stack, zone_cfg, gamma=10.0):
     constraints = [ConstraintSpec(zone_from_config(zone_cfg), "position"),
                    ConstraintSpec(TaskSpaceBarrier(np.vstack([d.states for d in stack.demos]),
@@ -68,7 +61,7 @@ def test_criterion_1_safety_invariance(default_stack):
     zone_cfg = zone_on_path()
     env = reach_env(zones=[zone_cfg])
     knn = KnnPolicy(KnnExpertPolicy.from_demos(stack.demos, 5))
-    path = straight_path_through_zone()
+    path = straight_path_to(GOAL)
     clf = ClfPolicy(stack.full, path, 15.0)
     shield = make_shield(stack, zone_cfg)
 
@@ -96,7 +89,7 @@ def test_criterion_2_gamma_margin_trend(default_stack):
     zone_cfg = zone_on_path()
     env = reach_env(zones=[zone_cfg])
     env.task = "path-follow"
-    path = straight_path_through_zone()
+    path = straight_path_to(GOAL)
     means = []
     for gamma in GAMMAS:
         shield = make_shield(stack, zone_cfg, gamma=gamma)
@@ -113,7 +106,7 @@ def test_criterion_2_gamma_margin_trend(default_stack):
 def test_criterion_3_beta_tracking_trend(default_stack):
     crit = Criterion(3, "tracking deviation has an interior argmin over beta", 120)
     stack = default_stack
-    path = straight_path_through_zone()
+    path = straight_path_to(GOAL)
     env = reach_env(w_max=0.05, obs_noise=0.0005, disturbance_mode="episode")
     env.task = "path-follow"
     env.start_spread = 0.005
@@ -329,7 +322,7 @@ def test_criterion_9_filter_minimality(default_stack):
     crit = Criterion(9, "filter equals closed-form projection on single-active rows", 10)
     rng = np.random.default_rng(9)
     zone = SphereZone([0.0, 0, 0], 1.0)
-    model = dyn.AffineModel.integrator(3)
+    model = AffineModel.integrator(3)
     bounds = dyn.UncertaintyBounds(e_sdot=0.0, e_s=0.0)
     cfg = ShieldConfig(gamma=1.0, constraints=[ConstraintSpec(zone, "position")],
                        lb=-10.0 * np.ones(3), ub=10.0 * np.ones(3))

@@ -24,14 +24,14 @@ from safectl.autodiff import (
 def test_zero_weights_give_zero_output():
     p = MlpParams(w1=np.zeros((8, 3)), b1=np.zeros(8), w2=np.zeros((4, 8)), b2=np.zeros(4))
     for x in (np.zeros(3), np.ones(3), np.array([-2.0, 5.0, 0.1])):
-        assert np.array_equal(forward_mlp(p, x), np.zeros(4))
+        assert np.array_equal(forward_mlp(p, x[:, None]), np.zeros((4, 1)))
 
 
 def test_identity_layer_applies_gelu_elementwise():
     # identity-like config: out = I @ gelu(I @ x + 0) + 0
     p = MlpParams(w1=np.eye(2), b1=np.zeros(2), w2=np.eye(2), b2=np.zeros(2))
     x = np.array([1.0, 2.0])
-    assert np.allclose(forward_mlp(p, x), gelu(x), atol=0, rtol=0)
+    assert np.allclose(forward_mlp(p, x[:, None])[:, 0], gelu(x), atol=0, rtol=0)
     assert gelu(np.array(0.0)) == 0.0  # exactly
 
 
@@ -45,7 +45,7 @@ def test_forward_matches_straightline_recompute():
         inner = np.sqrt(2.0 / np.pi) * (h_pre + 0.044715 * h_pre**3)
         h = 0.5 * h_pre * (1.0 + np.tanh(inner))
         expected = p.w2 @ h + p.b2
-        assert np.max(np.abs(forward_mlp(p, x) - expected)) < 1e-12
+        assert np.max(np.abs(forward_mlp(p, x[:, None])[:, 0] - expected)) < 1e-12
         tape = Tape()
         node = TapedMlp(tape, p)(tape.const(x))
         assert np.max(np.abs(node.value - expected)) < 1e-12
@@ -74,7 +74,7 @@ def test_backward_l1_subgradient():
 
 def _mlp_l1_loss(params: MlpParams, x, target, tape: Tape | None = None):
     if tape is None:
-        return float(np.abs(forward_mlp(params, x) - target).sum())
+        return float(np.abs(forward_mlp(params, x[:, None])[:, 0] - target).sum())
     mlp = TapedMlp(tape, params)
     out = mlp(tape.const(x))
     return mlp, tape.sum_abs(tape.sub(out, tape.const(target)))
@@ -147,7 +147,9 @@ def test_backward_requires_scalar_output():
 def test_forward_dimension_error_names_dims():
     p = init_mlp(3, 8, 2, seed=0)
     with pytest.raises(DimensionError, match="4.*3|3.*4"):
-        forward_mlp(p, np.zeros(4))
+        forward_mlp(p, np.zeros((4, 2)))
+    with pytest.raises(DimensionError, match=r"\(3,\).*\(3, B\)"):
+        forward_mlp(p, np.zeros(3))  # one point is a (3, 1) column, not (3,)
 
 
 def test_serialization_roundtrip_bitexact(tmp_path):

@@ -490,6 +490,28 @@ class TestEpisodeLoop:
             rates.append(summary["success_rate_with_violation"]["mean"])
         assert rates == [1.0, 1.0]
 
+    def test_path_follow_without_a_path_follows_the_default_path(self, staged):
+        # validate gives a path-follow config the straight path to the goal,
+        # whatever the policy, so its last waypoint can score the episode
+        out, write_config = staged
+        proc = run_cli("run", "--config", str(write_config(KNN)), "--out", str(out),
+                       "--shield", "off", "--episodes", "2", "--set", "seeds=[0]",
+                       "--set", "env.task=path-follow")
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["success_rate_with_violation"]["mean"] == 1.0
+
+    @pytest.mark.parametrize("kind", ["straight", "circle", "triangle"])
+    def test_scripted_path_follow_reports_tracking_on_each_path_type(self, staged, kind):
+        out, write_config = staged
+        proc = run_cli("run", "--config", str(write_config(KNN)), "--out", str(out),
+                       "--shield", "off", "--episodes", "1", "--set", "seeds=[0]",
+                       "--set", "policy.type=scripted", "--set", "env.task=path-follow",
+                       "--set", f'policy.path={{"type":"{kind}"}}')
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert np.isfinite(summary["tracking_dev_m"]["mean"])
+
     @pytest.mark.parametrize("cfg,param,values", [
         (KNN, "gamma", [2.0, 20.0]),
         (CLF_PATH, "gamma", [5.0]),
@@ -528,6 +550,12 @@ class TestEpisodeLoop:
                        "--out", str(tmp_path / "o"), "--n", "20")
         assert proc.returncode == 0, proc.stderr
         assert "(20/20 reached the goal)" in proc.stdout
+
+    def test_gen_demos_on_path_follow_without_a_path_reaches_the_goal(self, tmp_path):
+        proc = run_cli("gen-demos", "--config", str(ROOT / "bench" / "scenes" / "fit.json"),
+                       "--out", str(tmp_path / "o"), "--n", "5", "--set", "env.task=path-follow")
+        assert proc.returncode == 0, proc.stderr
+        assert "(5/5 reached the goal)" in proc.stdout
 
 
 # -- episode CSVs -------------------------------------------------------------

@@ -73,7 +73,10 @@ REMOVED_KEYS = {"shield.per_dim": False, "shield.gamma_behavioral": 3.0, "shield
                 "shield.vertex_budget": 64, "shield.slack_penalty": 1e6,
                 "train.optimizer": "rmsprop", "train.steps_per_epoch": 4,
                 "policy.c": 1.0, "policy.advance_threshold": None, "policy.advance_exponent": 2.0,
-                "env.A": [[0.0]], "env.B": [[1.0]]}
+                "env.A": [[0.0]], "env.B": [[1.0]],
+                "policy.path.start": [0.05, 0.05, 0.1], "policy.path.direction": [1.0, 1.0, 0.0],
+                "policy.path.center": [0.2, 0.2, 0.1], "policy.path.n_points": 20,
+                "policy.path.n_per_edge": 12}
 
 
 @pytest.mark.parametrize("dotted,value", REMOVED_KEYS.items(), ids=REMOVED_KEYS.keys())
@@ -83,10 +86,11 @@ def test_removed_key_is_rejected(dotted, value):
     # the default slack penalty; training is RMSprop at one epoch's worth of
     # gradient steps; the CLF follower has V = ||s - s_des||^2 and one advance
     # rule; the simulator's built-in truth is the integrator (KinematicEnv's
-    # field_fn injects another)
-    section, key = dotted.split(".")
-    with pytest.raises(ConfigError, match=f"'{key}' was unexpected"):
-        config.validate(bad([section, key], value))
+    # field_fn injects another); a reference path's geometry is
+    # config.build_path's alone
+    keys = dotted.split(".")
+    with pytest.raises(ConfigError, match=f"'{keys[-1]}' was unexpected"):
+        config.validate(bad(keys, value))
 
 
 def test_removed_shield_key_on_the_command_line_exits_2(tmp_path, capsys):
@@ -118,6 +122,31 @@ def test_cylinder_tau_is_rejected(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG == 2
     assert "config invalid at env/zones/0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+SPHERE = {"type": "sphere", "center": [0.1, 0.1, 0.1], "radius": 0.05}
+CYLINDER = {k: v for k, v in TAU_CYLINDER.items() if k != "tau"}
+ZONE_ERRORS = {
+    "sphere with a cylinder key": ({**SPHERE, "axis": [0, 0, 1]},
+                                   r"env/zones/0: .*'axis' was unexpected"),
+    "cylinder with tau": (TAU_CYLINDER, r"env/zones/0: .*'tau' was unexpected"),
+    "sphere without a radius": ({"type": "sphere", "center": [0, 0, 0]},
+                                r"env/zones/0: 'radius' is a required property"),
+    "cylinder with a short axis": ({**CYLINDER, "axis": [0, 1]}, r"env/zones/0/axis: "),
+    "unknown type": ({**SPHERE, "type": "cube"},
+                     r"env/zones/0/type: 'cube' is not one of \['sphere', 'cylinder'\]"),
+    "no type": ({"center": [0, 0, 0], "radius": 0.05},
+                r"env/zones/0: 'type' is a required property"),
+}
+
+
+@pytest.mark.parametrize("zone,message", ZONE_ERRORS.values(), ids=ZONE_ERRORS.keys())
+def test_zone_error_names_the_bad_key(zone, message):
+    # the zone's type selects its schema, so the error names that kind's bad
+    # key, never a mismatch with the other kind's type
+    with pytest.raises(ConfigError, match=f"^config invalid at {message}"):
+        config.validate(bad(["env", "zones"], [zone]))
+    config.validate(bad(["env", "zones"], [SPHERE, CYLINDER]))
 
 
 NON_FINITE = {

@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from safectl import qp
+from conftest import AffineModel
+from safectl import config, qp
 from safectl.control import (
     CURV_TOL,
     KnnExpertPolicy,
@@ -12,14 +13,11 @@ from safectl.control import (
     ScriptedExpert,
     UncontrollableError,
     WaypointTracker,
-    circle_path,
     clf_action,
-    path_from_config,
     select_waypoint,
     straight_path,
-    triangle_path,
 )
-from safectl.dynamics import AffineModel, NeuralOdeModel
+from safectl.dynamics import NeuralOdeModel
 
 
 def distance_reference(path, p):
@@ -34,6 +32,16 @@ def distance_reference(path, p):
     return best
 
 
+def config_path(path_cfg):
+    """The path config.build_path gives a default config with this policy.path."""
+    return config.build_path(config.validate({"version": 1, "env": {},
+                                              "policy": {"path": path_cfg}}))
+
+
+def chord_sum(w):
+    return float(np.linalg.norm(np.diff(w, axis=0), axis=1).sum())
+
+
 class TestReferencePath:
     def test_validation(self):
         with pytest.raises(ValueError, match="two waypoints"):
@@ -42,19 +50,32 @@ class TestReferencePath:
             ReferencePath(np.array([[0.0, 0], [0, 0], [1, 0]]))
 
     def test_builders_reproduce_benchmark_lengths(self):
-        # straight 0.35 m, circular 0.75 m, triangular 0.30 m arc lengths
-        s = path_from_config({"type": "straight", "length": 0.35}, 4)
-        assert s.arc_length() == pytest.approx(0.35, abs=1e-12)
-        c = path_from_config({"type": "circle", "length": 0.75}, 4)
-        assert c.arc_length() == pytest.approx(0.75, rel=1e-3)  # polygonal chord sum
-        t = path_from_config({"type": "triangle", "length": 0.30}, 4)
-        assert t.arc_length() == pytest.approx(0.30, abs=1e-9)
-        assert s.waypoints.shape[1] == 4  # padded to the state dimension
+        # the circle's 0.75 m is a polygonal chord sum; the triangle's corners
+        # are waypoints, so its 0.30 m is exact
+        for kind, length, rel in (("circle", 0.75, 1e-3), ("triangle", 0.30, 1e-12)):
+            for path_cfg in ({"type": kind}, {"type": kind, "length": length}):
+                w = config_path(path_cfg).waypoints
+                assert chord_sum(w) == pytest.approx(length, rel=rel)
+                assert w.shape[1] == 4  # padded to the state dimension
+                assert w[-1] == pytest.approx(w[0], abs=1e-15)  # closed
+                assert w[:-1, :3].mean(axis=0) == pytest.approx(config.PATH_CENTER, abs=1e-15)
+
+    def test_straight_path_runs_from_the_start_toward_the_goal(self):
+        start, goal = np.array([0.05, 0.05, 0.05]), np.array([0.30, 0.30, 0.15])
+        w = config_path({"type": "straight"}).waypoints
+        assert w.shape == (20, 4)
+        assert np.array_equal(w[0, :3], start)
+        assert w[-1, :3] == pytest.approx(goal, abs=1e-15)
+        assert chord_sum(w) == pytest.approx(np.linalg.norm(goal - start), rel=1e-14)
+        short = config_path({"type": "straight", "length": 0.1}).waypoints
+        assert chord_sum(short) == pytest.approx(0.1, rel=1e-14)
+        unit = (goal - start) / np.linalg.norm(goal - start)
+        assert short[-1, :3] == pytest.approx(start + 0.1 * unit, abs=1e-15)
 
     def test_distance_to_polyline(self):
         path = straight_path([0.0, 0, 0], [1.0, 0, 0], 5)
-        assert path.distance_to([0.5, 0.2, 0.0]) == pytest.approx(0.2, abs=1e-12)
-        assert path.distance_to([-0.3, 0.0, 0.0]) == pytest.approx(0.3, abs=1e-12)
+        got = path.distance_to([[0.5, 0.2, 0.0], [-0.3, 0.0, 0.0]])
+        assert got == pytest.approx([0.2, 0.3], abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(2, 20), st.integers(1, 4)),
@@ -71,12 +92,10 @@ class TestReferencePath:
         assert got.shape == (points.shape[0],)
         for d, p in zip(got, points):
             assert d == pytest.approx(distance_reference(path, p), rel=1e-12, abs=1e-14)
-        assert path.distance_to(points[0]) == got[0]  # one point: its row, as a float
-        assert isinstance(path.distance_to(points[0]), float)
 
     def test_explicit_waypoints_config(self):
-        p = path_from_config({"type": "waypoints", "waypoints": [[0, 0, 0, 0], [1, 0, 0, 0]]}, 4)
-        assert len(p) == 2
+        p = config_path({"type": "waypoints", "waypoints": [[0, 0, 0], [1, 0, 0]]})
+        assert np.array_equal(p.waypoints, [[0.0, 0, 0, 0], [1.0, 0, 0, 0]])
 
 
 def select_waypoint_reference(path, s, current_index, threshold):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import AffineModel
 from safectl import dynamics as dyn
 from safectl.autodiff import Tape, TapedMlp, backward
 from safectl.dynamics import (
-    AffineModel,
     Demonstration,
     NeuralOdeModel,
     TrainConfig,

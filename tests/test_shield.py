@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import zone_on_path
+from conftest import AffineModel, zone_on_path
 from safectl import config, qp
 from safectl.barriers import CylinderZone, SphereZone, TaskSpaceBarrier
-from safectl.dynamics import (POSITION_DIMS, AffineModel, Demonstration, NeuralOdeModel,
-                              UncertaintyBounds)
+from safectl.dynamics import POSITION_DIMS, Demonstration, NeuralOdeModel, UncertaintyBounds
 from safectl.sim import EnvConfig, compute_metrics, run_episode
 from safectl.shield import ConstraintSpec, SafetyShield, ShieldConfig
 

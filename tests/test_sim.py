@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOAL, START, make_demos, reach_env, zone_on_path
+from conftest import GOAL, START, AffineModel, reach_env, straight_path_to, zone_on_path
 from safectl.barriers import CylinderZone, SphereZone
-from safectl.control import KnnExpertPolicy, ScriptedExpert, path_from_config
-from safectl.dynamics import AffineModel, integrate
+from safectl.control import KnnExpertPolicy, ScriptedExpert, straight_path
+from safectl.dynamics import integrate
 from safectl.sim import (
     ClfPolicy,
     EnvConfig,
@@ -136,10 +136,7 @@ class TestRunEpisode:
 
     def test_path_follow_success_and_tracking(self):
         model = AffineModel.integrator(4)
-        path = path_from_config(
-            {"type": "straight", "start": START[:3].tolist(),
-             "direction": (GOAL - START[:3]).tolist(),
-             "length": float(np.linalg.norm(GOAL - START[:3]))}, 4)
+        path = straight_path_to(GOAL)
         env = EnvConfig(task="path-follow", start=START, start_spread=0.0)
         result, _ = run_episode(ClfPolicy(model, path, 15.0), env,
                                 seed=0, path=path)
@@ -148,9 +145,7 @@ class TestRunEpisode:
 
     def test_exact_path_replay_has_zero_tracking_dev(self):
         # a policy that walks the waypoints exactly: deviation 0
-        path = path_from_config({"type": "straight", "start": [0.0, 0, 0],
-                                 "direction": [1.0, 0, 0], "length": 0.3,
-                                 "n_points": 31}, 4)
+        path = straight_path([0.0, 0, 0, 0], [0.3, 0, 0, 0], 31)
 
         class Replay:
             def __init__(self):
@@ -213,9 +208,7 @@ class TestLockstep:
     def test_batch_equals_one_episode_at_a_time(self, task, policy_kind, w_max, mode,
                                                  obs_noise, zones, n, master, nan):
         goal = np.array([0.26, 0.26, 0.13]) if task == "transport" else GOAL
-        path = path_from_config({"type": "straight", "start": START[:3].tolist(),
-                                 "direction": (goal - START[:3]).tolist(),
-                                 "length": float(np.linalg.norm(goal - START[:3]))}, 4)
+        path = straight_path_to(goal)
         env = EnvConfig(task=task, goal=goal, obj=OBJ if task == "transport" else None,
                         start=START, start_spread=0.01, w_max=w_max, disturbance_mode=mode,
                         obs_noise=obs_noise, horizon=40,
