@@ -171,11 +171,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"train.rollout_h={tc.rollout_h} exceeds the shortest training "
                           f"demonstration ({shortest} steps)")
     e = cfg["env"]
-
-    model = dyn.NeuralOdeModel.create(
-        n_state=e["n_state"], n_action=e["n_action"],
-        hidden=cfg["model"]["hidden"], dt=e["dt"], seed=cfg["model"]["seed"],
-    )
+    model = dyn.NeuralOdeModel.create(n_state=e["n_state"], n_action=e["n_action"], dt=e["dt"])
     trained, losses = dyn.train(model, train_demos, tc)
     trained.save(out / MODEL_FULL, extra={"train_seed": tc.seed,
                                           "holdout_frac": cfg["train"]["holdout_frac"]})

@@ -1,6 +1,6 @@
 """Run configuration: versioned JSON schema, validation, and object builders.
 
-A RunConfig wires the whole pipeline: environment, model/training settings,
+A RunConfig wires the whole pipeline: environment, training settings,
 nominal policy, and shield. Validation happens before any work starts;
 command-line flags override file values which override defaults.
 """
@@ -52,9 +52,14 @@ PATH_SCHEMA = {
     "properties": {
         "type": {"enum": ["straight", "circle", "triangle", "waypoints"]},
         "length": {"type": "number", "exclusiveMinimum": 0},
-        "waypoints": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
+        "waypoints": {"type": "array", "items": {"type": "array", "items": {"type": "number"}},
+                      "minItems": 2},
     },
     "additionalProperties": False,
+    # build_path reads a path with no type as waypoints; the "type" makes
+    # best_match rank an unexpected key in the same path above this error
+    "if": {"properties": {"type": {"const": "waypoints"}}},
+    "then": {"type": "object", "required": ["waypoints"]},
 }
 
 SCHEMA = {
@@ -87,21 +92,11 @@ SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "model": {
-            "type": "object",
-            "properties": {
-                "hidden": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
         "train": {
             "type": "object",
             "properties": {
                 "epochs": {"type": "integer", "minimum": 1},
-                "batch": {"type": "integer", "minimum": 1},
                 "rollout_h": {"type": "integer", "minimum": 1},
-                "lr": {"type": "number", "exclusiveMinimum": 0},
                 "holdout_frac": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
             },
             "additionalProperties": False,
@@ -111,9 +106,7 @@ SCHEMA = {
             "properties": {
                 "type": {"enum": ["clf", "knn", "scripted"]},
                 "beta": {"type": "number", "exclusiveMinimum": 0},
-                "knn_neighbors": {"type": "integer", "minimum": 1},
                 "dither": {"type": "number", "minimum": 0},
-                "expert_gain": {"type": "number", "exclusiveMinimum": 0},
                 "path": PATH_SCHEMA,
             },
             "additionalProperties": False,
@@ -155,20 +148,15 @@ DEFAULTS = {
         "latch_tol": 0.005,
         "zones": [],
     },
-    "model": {"hidden": 64, "seed": 0},
     "train": {
         "epochs": 200,
-        "batch": 20,
         "rollout_h": 10,
-        "lr": 1e-3,
         "holdout_frac": 0.2,
     },
     "policy": {
         "type": "knn",
         "beta": 15.0,
-        "knn_neighbors": 5,
         "dither": 0.02,
-        "expert_gain": 2.0,
     },
     "shield": {
         "enabled": True,
@@ -214,7 +202,7 @@ def validate(raw: dict) -> dict:
 
     Reports the error jsonschema.validate would raise: the best match; past
     the schema, the first NaN or infinite number, then an env.start longer
-    than env.n_state."""
+    than env.n_state, then a straight path from a start equal to the goal."""
     error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
@@ -233,6 +221,9 @@ def validate(raw: dict) -> dict:
         # the CLF tracks a path and path-follow scores against its last
         # waypoint; default to the straight path from the start to the goal
         cfg["policy"]["path"] = {"type": "straight"}
+    if cfg["policy"].get("path", {}).get("type") == "straight" and e["goal"] == e["start"][:3]:
+        raise ConfigError("config invalid at env/goal: equal to env.start[:3], which leaves "
+                          "the straight path no direction")
     return cfg
 
 
@@ -289,15 +280,9 @@ def build_env(cfg: dict, with_zones: bool = True) -> EnvConfig:
     )
 
 
-def build_train_config(cfg: dict, seed: int | None = None) -> TrainConfig:
+def build_train_config(cfg: dict) -> TrainConfig:
     t = cfg["train"]
-    return TrainConfig(
-        epochs=t["epochs"],
-        batch=t["batch"],
-        rollout_h=t["rollout_h"],
-        lr=t["lr"],
-        seed=cfg["seed"] if seed is None else seed,
-    )
+    return TrainConfig(epochs=t["epochs"], rollout_h=t["rollout_h"], seed=cfg["seed"])
 
 
 # the centre of the circle and triangle paths, mid-workspace of the toy benchmark
@@ -335,7 +320,6 @@ def build_expert(cfg: dict) -> ScriptedExpert:
     return ScriptedExpert(
         goal=np.asarray(e["goal"], dtype=np.float64),
         a_max=e["a_max"],
-        gain=p["expert_gain"],
         obj=np.asarray(e["object"], dtype=np.float64) if "object" in e else None,
         latch_tol=e["latch_tol"],
         dither=p["dither"],
@@ -352,7 +336,7 @@ def build_policy(cfg: dict, model_full=None, demos=None):
     if kind == "knn":
         if not demos:
             raise ConfigError("knn policy requires demonstrations")
-        expert = KnnExpertPolicy.from_demos(demos, cfg["policy"]["knn_neighbors"])
+        expert = KnnExpertPolicy.from_demos(demos)
         return KnnPolicy(expert), path
     if kind == "clf":
         if model_full is None:

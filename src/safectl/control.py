@@ -42,6 +42,8 @@ class ReferencePath:
         self.waypoints = np.asarray(self.waypoints, dtype=np.float64)
         if self.waypoints.ndim != 2 or self.waypoints.shape[0] < 2:
             raise ValueError("need at least two waypoints")
+        if not np.isfinite(self.waypoints).all():
+            raise ValueError("waypoints must be finite")
         gaps = np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
         if np.any(gaps == 0.0):
             raise ValueError("consecutive waypoints must be distinct")

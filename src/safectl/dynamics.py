@@ -18,7 +18,7 @@ with probability at least n/(n+1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,23 +50,20 @@ class NeuralOdeModel:
     n_state: int
     n_action: int
     params: MlpParams
-    hidden: int = 64
     dt: float = 0.1
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        n_out = self.n_state * (1 + self.n_action)
-        if self.params.layer_dims != (self.n_state, self.hidden, n_out):
-            raise ValueError(
-                f"params dims {self.params.layer_dims} do not match "
-                f"({self.n_state}, {self.hidden}, {n_out})"
-            )
+        n_in, _, n_out = self.params.layer_dims
+        if (n_in, n_out) != (self.n_state, self.n_state * (1 + self.n_action)):
+            raise ValueError(f"params dims {self.params.layer_dims} do not match "
+                             f"n_state={self.n_state}, n_action={self.n_action}")
 
     @classmethod
     def create(cls, n_state=4, n_action=4, hidden=64, dt=0.1, seed=0):
         params = init_mlp(n_state, hidden, n_state * (1 + n_action), seed=seed)
-        return cls(n_state=n_state, n_action=n_action, params=params, hidden=hidden, dt=dt)
+        return cls(n_state=n_state, n_action=n_action, params=params, dt=dt)
 
     def drift_and_gain(self, s):
         """drift_and_gain_batch at one state s (n_state,): drift f (n_state,)
@@ -106,7 +103,6 @@ class NeuralOdeModel:
             n_state=int(header["n_state"]),
             n_action=int(header["n_action"]),
             params=params,
-            hidden=params.layer_dims[1],
             dt=float(header["dt"]),
         )
         return model, header
@@ -415,14 +411,7 @@ def train(model: NeuralOdeModel, demos: list[Demonstration], cfg: TrainConfig):
             epoch_loss += loss
         losses[epoch] = epoch_loss / steps
 
-    trained = NeuralOdeModel(
-        n_state=model.n_state,
-        n_action=model.n_action,
-        params=params,
-        hidden=model.hidden,
-        dt=model.dt,
-    )
-    return trained, losses
+    return replace(model, params=params), losses
 
 
 def derive_position_model(
@@ -442,7 +431,7 @@ def derive_position_model(
     sub = NeuralOdeModel.create(
         n_state=len(POSITION_DIMS),
         n_action=len(POSITION_DIMS),
-        hidden=model.hidden,
+        hidden=model.params.layer_dims[1],
         dt=model.dt,
         seed=model.params.seed,
     )

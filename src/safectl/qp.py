@@ -74,7 +74,6 @@ class QpProblem:
 @dataclass
 class QpSolution:
     a: np.ndarray
-    objective: float
     active_set: list[int]
     status: str  # optimal | infeasible | max_iter (nnls's limit) | nan (a row is not finite)
     slack_used: float = 0.0
@@ -88,33 +87,28 @@ def solve(problem: QpProblem) -> QpSolution:
     is not finite gives "nan" before nnls, which would reject it."""
     q, x = problem.q, -problem.q
     if (worst := _max_violation(problem, x)) <= FEAS_TOL:  # x + q = 0, no multipliers
-        return QpSolution(x, _objective(problem, x), [], "optimal", kkt_residual=max(0.0, worst))
+        return QpSolution(x, [], "optimal", kkt_residual=max(0.0, worst))
     C, d, origin = problem.stacked_rows()
     M = -np.vstack([C.T, d + C @ q])
     if not (np.isfinite(M).all() and np.isfinite(q).all()):
-        return QpSolution(x, _objective(problem, x), [], "nan")
+        return QpSolution(x, [], "nan")
     try:
         u = nnls(M, np.append(np.zeros(q.size), 1.0))[0]
     except RuntimeError:  # nnls's iteration limit
-        return QpSolution(x, _objective(problem, x), [], "max_iter")
+        return QpSolution(x, [], "max_iter")
     act, lam = u > 0.0, np.zeros(u.size)
     if M[-1] @ u < 1.0:  # r[m] < 0: feasible
         z = np.linalg.lstsq(C[act], -M[-1, act], rcond=None)[0]
         lam[act] = np.linalg.lstsq(C[act].T, -z, rcond=None)[0]
         if _max_violation(problem, a := x + z) <= FEAS_TOL:
-            return QpSolution(a, _objective(problem, a), origin[act & (origin >= 0)].tolist(),
-                              "optimal", multipliers=lam,
+            return QpSolution(a, origin[act & (origin >= 0)].tolist(), "optimal", multipliers=lam,
                               kkt_residual=kkt_residual(problem.P, q, C, d, a, lam))
-    return QpSolution(x, _objective(problem, x), [], "infeasible")
+    return QpSolution(x, [], "infeasible")
 
 
 def _max_violation(problem: QpProblem, x: np.ndarray) -> float:
     """Largest violation of the rows and the box at x (nan if one is nan)."""
     return float(np.concatenate([problem.G @ x - problem.h, x - problem.ub, problem.lb - x]).max())
-
-
-def _objective(problem: QpProblem, x: np.ndarray) -> float:
-    return 0.5 * float(x @ x) + float(problem.q @ x)
 
 
 def kkt_residual(P, q, G, h, x, lam) -> float:
@@ -142,7 +136,7 @@ def solve_with_slack(problem: QpProblem, penalty: float = 1e6) -> QpSolution:
         G=np.hstack([problem.G, np.full((problem.G.shape[0], 1), -1.0 / scale)]),
         lb=np.append(problem.lb, 0.0), ub=np.append(problem.ub, np.inf)))
     xi = max(0.0, float(sol.a[m] / scale)) if sol.status == "optimal" else float("nan")
-    return replace(sol, a=sol.a[:m], objective=_objective(problem, sol.a[:m]), slack_used=xi)
+    return replace(sol, a=sol.a[:m], slack_used=xi)
 
 
 def dump_problem(problem: QpProblem) -> dict:

@@ -90,7 +90,6 @@ class FilterReport:
     a_safe: np.ndarray
     intervened: bool
     margins: np.ndarray  # per-constraint b at the current state
-    worst_margin: float
     slack_used: float
     build_time: float  # s spent building the rows
     solve_time: float  # s spent in the QP
@@ -192,7 +191,6 @@ class SafetyShield:
             a_safe=a_safe,
             intervened=math.sqrt(step @ step) > 1e-9,  # ||step||, as norm takes it
             margins=margins,
-            worst_margin=float(margins.min()),
             slack_used=sol.slack_used,
             build_time=t1 - t0,
             solve_time=t2 - t1,

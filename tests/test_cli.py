@@ -200,6 +200,19 @@ class TestConfigValidation:
         (lambda c: c["policy"].update(c=2.0), "'c' was unexpected"),
         (lambda c: c["policy"].update(advance_threshold=0.01), "'advance_threshold' was unexpected"),
         (lambda c: c["policy"].update(advance_exponent=1.0), "'advance_exponent' was unexpected"),
+        (lambda c: c.update(model={"hidden": 64}), "'model' was unexpected"),
+        (lambda c: c.update(model={"seed": 0}), "'model' was unexpected"),
+        (lambda c: c["train"].update(batch=20), "'batch' was unexpected"),
+        (lambda c: c["train"].update(lr=1e-3), "'lr' was unexpected"),
+        (lambda c: c["policy"].update(knn_neighbors=5), "'knn_neighbors' was unexpected"),
+        (lambda c: c["policy"].update(expert_gain=2.0), "'expert_gain' was unexpected"),
+        # these three ended in a traceback (exit 1) or an all-NaN path (exit 0)
+        (lambda c: c["policy"].update(path={"type": "waypoints"}),
+         "policy/path: 'waypoints' is a required property"),
+        (lambda c: c["policy"].update(path={"waypoints": [[0.1, 0.1, 0.1]]}),
+         "policy/path/waypoints: [[0.1, 0.1, 0.1]] is too short"),
+        (lambda c: c["env"].update(task="path-follow", goal=[0.05, 0.05, 0.05]),
+         "env/goal: equal to env.start[:3]"),
     ])
     def test_invalid_config_exits_2_before_work(self, tmp_path, mutate, fragment):
         cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -674,9 +687,7 @@ class TestStagesParseTheirSide:
                                          BASE_CONFIG_HOLDOUT, seed=cfg["seed"])
         tc = cfgmod.build_train_config(cfg)
         e = cfg["env"]
-        model = dyn.NeuralOdeModel.create(n_state=e["n_state"], n_action=e["n_action"],
-                                          hidden=cfg["model"]["hidden"], dt=e["dt"],
-                                          seed=cfg["model"]["seed"])
+        model = dyn.NeuralOdeModel.create(n_state=e["n_state"], n_action=e["n_action"], dt=e["dt"])
         trained, losses = dyn.train(model, train_demos, tc)
         extra = {"train_seed": tc.seed, "holdout_frac": BASE_CONFIG_HOLDOUT}
         ref = tmp_path / "reference"

@@ -76,7 +76,20 @@ REMOVED_KEYS = {"shield.per_dim": False, "shield.gamma_behavioral": 3.0, "shield
                 "env.A": [[0.0]], "env.B": [[1.0]],
                 "policy.path.start": [0.05, 0.05, 0.1], "policy.path.direction": [1.0, 1.0, 0.0],
                 "policy.path.center": [0.2, 0.2, 0.1], "policy.path.n_points": 20,
-                "policy.path.n_per_edge": 12}
+                "policy.path.n_per_edge": 12,
+                "model.hidden": 64, "model.seed": 0, "train.batch": 20, "train.lr": 1e-3,
+                "policy.knn_neighbors": 5, "policy.expert_gain": 2.0}
+
+
+def first_removed(keys):
+    """The first of the dotted keys that SCHEMA does not have: the key a
+    validation error names."""
+    node = SCHEMA
+    for k in keys:
+        if k not in node.get("properties", {}):
+            return k
+        node = node["properties"][k]
+    raise AssertionError(f"{'.'.join(keys)} is still in SCHEMA")
 
 
 @pytest.mark.parametrize("dotted,value", REMOVED_KEYS.items(), ids=REMOVED_KEYS.keys())
@@ -87,9 +100,11 @@ def test_removed_key_is_rejected(dotted, value):
     # gradient steps; the CLF follower has V = ||s - s_des||^2 and one advance
     # rule; the simulator's built-in truth is the integrator (KinematicEnv's
     # field_fn injects another); a reference path's geometry is
-    # config.build_path's alone
+    # config.build_path's alone; the MLP width and init seed, RMSprop's batch
+    # and rate, the kNN neighbour count and the expert's gain are the defaults
+    # of NeuralOdeModel.create, TrainConfig, KnnExpertPolicy and ScriptedExpert
     keys = dotted.split(".")
-    with pytest.raises(ConfigError, match=f"'{keys[-1]}' was unexpected"):
+    with pytest.raises(ConfigError, match=f"'{first_removed(keys)}' was unexpected"):
         config.validate(bad(keys, value))
 
 
@@ -155,7 +170,7 @@ NON_FINITE = {
     "-inf in a zone centre": (["env", "zones"],
                               [{"type": "sphere", "center": [0, float("-inf"), 0], "radius": 0.1}],
                               "env/zones/0/center/1: -inf"),
-    "NaN in a matrix": (["policy", "path", "waypoints"], [[1.0, float("nan")]],
+    "NaN in a matrix": (["policy", "path", "waypoints"], [[1.0, float("nan")], [0.0, 0.0]],
                         "policy/path/waypoints/0/1: nan"),
 }
 
@@ -203,3 +218,37 @@ def test_start_longer_than_the_state_is_rejected():
     assert config.validate(raw)["env"]["start"] == [0.05, 0.05, 0.05, 0.0, 0.0, 0.0]
     short = config.validate(bad(["env", "start"], [0.05, 0.05, 0.05]))
     assert list(config.build_env(short).start) == [0.05, 0.05, 0.05, 0.0]
+
+
+PATH_ERRORS = {
+    "waypoints type without waypoints": ({"type": "waypoints"},
+                                         r"policy/path: 'waypoints' is a required property"),
+    "no type and no waypoints": ({}, r"policy/path: 'waypoints' is a required property"),
+    "one waypoint": ({"type": "waypoints", "waypoints": [[0.1, 0.1, 0.1]]},
+                     r"policy/path/waypoints: .* is too short"),
+    "one waypoint and no type": ({"waypoints": [[0.1, 0.1, 0.1]]},
+                                 r"policy/path/waypoints: .* is too short"),
+}
+
+
+@pytest.mark.parametrize("path,message", PATH_ERRORS.values(), ids=PATH_ERRORS.keys())
+def test_waypoints_path_needs_two_waypoints(path, message):
+    # build_path reads a path with no type as waypoints, and a path of fewer
+    # than two waypoints has no segment to track
+    with pytest.raises(ConfigError, match="^config invalid at " + message):
+        config.validate(bad(["policy", "path"], path))
+    two = {**path, "waypoints": [[0.1, 0.1, 0.1], [0.2, 0.1, 0.1]]}
+    assert config.build_path(config.validate(bad(["policy", "path"], two))).waypoints.shape == (2, 4)
+
+
+@pytest.mark.parametrize("policy", [{"type": "clf"}, {"path": {"type": "straight"}},
+                                    {"path": {"type": "straight", "length": 0.1}}],
+                         ids=["default path", "straight", "straight with a length"])
+def test_straight_path_from_a_start_at_the_goal_is_rejected(policy):
+    # the path's direction is goal - start[:3], which is zero
+    raw = {"version": 1, "env": {"start": [0.1, 0.2, 0.3, 0.0], "goal": [0.1, 0.2, 0.3]},
+           "policy": policy}
+    with pytest.raises(ConfigError, match="^config invalid at env/goal: equal to env.start"):
+        config.validate(raw)
+    # the same start and goal with no straight path is a reach already done
+    assert config.validate({**raw, "policy": {"type": "knn"}})["env"]["goal"] == [0.1, 0.2, 0.3]

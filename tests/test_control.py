@@ -49,6 +49,14 @@ class TestReferencePath:
         with pytest.raises(ValueError, match="distinct"):
             ReferencePath(np.array([[0.0, 0], [0, 0], [1, 0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_waypoints_are_rejected(self, bad):
+        # a NaN gap compares false with 0, so the distinct check alone lets it pass
+        with pytest.raises(ValueError, match="finite"):
+            ReferencePath(np.array([[0.0, 0], [bad, 0], [1, 0]]))
+        with pytest.raises(ValueError, match="finite"):
+            ReferencePath(np.full((20, 4), bad))
+
     def test_builders_reproduce_benchmark_lengths(self):
         # the circle's 0.75 m is a polygonal chord sum; the triangle's corners
         # are waypoints, so its 0.30 m is exact

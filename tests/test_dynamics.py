@@ -31,7 +31,7 @@ def linear_demos(rng, field, n_traj, steps=20, n=2, act_scale=0.3, state_scale=0
 class TestEvalField:
     def test_zero_params_zero_field(self):
         model = NeuralOdeModel(
-            n_state=2, n_action=2, hidden=4,
+            n_state=2, n_action=2,
             params=dyn.MlpParams(w1=np.zeros((4, 2)), b1=np.zeros(4),
                                  w2=np.zeros((6, 4)), b2=np.zeros(6)),
         )
